@@ -18,7 +18,6 @@ from .ecs import (
     weighted_score,
 )
 from .errors import (
-    ClockUnavailable,
     CycleModError,
     EmptySequence,
     ModulusMismatch,
@@ -113,5 +112,4 @@ __all__ = [
     "EmptySequence",
     "WidthMismatch",
     "SourceUnavailable",
-    "ClockUnavailable",
 ]

@@ -11,32 +11,25 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .errors import ClockUnavailable, OutOfRange
-from .modring import inverse_ct_counted, inverse_euclid_counted, make_modulus
-from .seedgen import Variant, compute_a
+from .errors import OutOfRange
+from .modring import Variant, counted_inverter
+from .seedgen import generate_sequence
 
 WARMUP_PASSES = 3
 MIN_REPS = 30
 
-_COUNTED = {"euclid": inverse_euclid_counted, "ct": inverse_ct_counted}
-
-
-def _counted_inverter(variant: str):
-    try:
-        return _COUNTED[variant]
-    except KeyError:
-        raise OutOfRange(f"variant must be one of {sorted(_COUNTED)}, got {variant!r}")
-
 
 @dataclass(frozen=True)
 class TimingStats:
-    """Per-variant iteration counts and wall-time statistics."""
+    """Per-variant iteration counts and wall-time statistics, in bench row order."""
 
     variant: Variant
     p: int
-    samples: int
+    k_start: int
+    k_end: int
+    reps: int
     mean_ns: float
     median_ns: float
     max_jitter_ns: float
@@ -52,20 +45,21 @@ class TimingStats:
         if self.variant == "ct" and self.iter_min != self.iter_max:
             raise OutOfRange("ct variant must have an exact iteration count")
 
+    @property
+    def samples(self) -> int:
+        """Timed calls: one per (k, rep) pair."""
+        return (self.k_end - self.k_start + 1) * self.reps
+
 
 def _operands(p: int, k_range: tuple[int, int]):
-    k_start, k_end = k_range
-    if not 1 <= k_start <= k_end:
-        raise OutOfRange(f"need 1 <= k_start <= k_end, got [{k_start}, {k_end}]")
-    m = make_modulus(p)
-    return [compute_a(k, m) for k in range(k_start, k_end + 1)]
+    return [r.a_k for r in generate_sequence(p, *k_range)]
 
 
 def count_iterations(
     variant: Variant, p: int, k_range: tuple[int, int]
 ) -> tuple[int, int]:
     """Exact min/max inner-loop step counts over the operand range."""
-    counted = _counted_inverter(variant)
+    counted = counted_inverter(variant)
     counts = [counted(a)[1] for a in _operands(p, k_range)]
     return min(counts), max(counts)
 
@@ -76,12 +70,8 @@ def time_inversion(
     """Wall-clock statistics over all (k, rep) pairs, warm-up excluded."""
     if reps < MIN_REPS:
         raise OutOfRange(f"reps must be >= {MIN_REPS}, got {reps}")
-    try:
-        time.perf_counter_ns()
-    except Exception as exc:  # pragma: no cover - no such platform in CI
-        raise ClockUnavailable("monotonic high-resolution clock missing") from exc
 
-    counted = _counted_inverter(variant)
+    counted = counted_inverter(variant)
     operands = _operands(p, k_range)
 
     counts = [counted(a)[1] for a in operands]
@@ -101,7 +91,9 @@ def time_inversion(
     return TimingStats(
         variant=variant,
         p=p,
-        samples=len(samples_ns),
+        k_start=k_range[0],
+        k_end=k_range[1],
+        reps=reps,
         mean_ns=mean_ns,
         median_ns=float(statistics.median(samples_ns)),
         max_jitter_ns=float(max(samples_ns) - min(samples_ns)),
@@ -109,23 +101,6 @@ def time_inversion(
         iter_min=min(counts),
         iter_max=max(counts),
     )
-
-
-def stats_row(stats: TimingStats, k_range: tuple[int, int], reps: int) -> dict:
-    """Flat JSON-ready row for one variant."""
-    return {
-        "variant": stats.variant,
-        "p": stats.p,
-        "k_start": k_range[0],
-        "k_end": k_range[1],
-        "reps": reps,
-        "mean_ns": stats.mean_ns,
-        "median_ns": stats.median_ns,
-        "max_jitter_ns": stats.max_jitter_ns,
-        "cv": stats.cv,
-        "iter_min": stats.iter_min,
-        "iter_max": stats.iter_max,
-    }
 
 
 def compare_report(p: int, k_range: tuple[int, int], reps: int) -> dict:
@@ -142,10 +117,7 @@ def compare_report(p: int, k_range: tuple[int, int], reps: int) -> dict:
         "k_start": k_range[0],
         "k_end": k_range[1],
         "reps": reps,
-        "rows": [
-            stats_row(euclid, k_range, reps),
-            stats_row(ct, k_range, reps),
-        ],
+        "rows": [asdict(euclid), asdict(ct)],
         "ct_iterations_constant": ct.iter_min == ct.iter_max,
         "euclid_iteration_spread": euclid.iter_max - euclid.iter_min,
         "advisory_cv_ct_not_above_euclid": ct.cv <= euclid.cv,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 from . import bench as bench_mod
 from . import ecs as ecs_mod
@@ -173,15 +174,7 @@ def cmd_ecs(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     witness = decompose_identity(args.p, args.s)
-    payload = {
-        "p": witness.p,
-        "s": witness.s,
-        "A": witness.A,
-        "k": witness.k,
-        "n": witness.n,
-        "d": witness.d,
-        "verified": verify_identity(witness),
-    }
+    payload = {**asdict(witness), "verified": verify_identity(witness)}
     _write_output(dumps_fixed(payload) + "\n", args.output)
     return EXIT_OK
 

@@ -57,7 +57,7 @@ def weighted_score(cd: float, rud: float, mbi: float) -> float:
 def cycle_density(seq: SeedSequence) -> float:
     """|distinct d_k| / phi(M)."""
     _require_records(seq)
-    return len(set(seq.d_values())) / seq.modulus.phi
+    return len(set(seq.d)) / seq.modulus.phi
 
 
 def residue_uniformity_deviation(seq: SeedSequence) -> float:
@@ -68,7 +68,7 @@ def residue_uniformity_deviation(seq: SeedSequence) -> float:
     """
     _require_records(seq)
     phi = seq.modulus.phi
-    counts = Counter(seq.d_values())
+    counts = Counter(seq.d)
     total = len(seq)
     visited_gap = sum(abs(c / total - 1.0 / phi) for c in counts.values())
     unvisited_gap = (phi - len(counts)) / phi
@@ -82,7 +82,7 @@ def modular_bias_index(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> flo
     _require_records(seq)
     M = seq.modulus.M
     total = len(seq)
-    per_bucket = Counter(value * buckets // M for value in seq.d_values())
+    per_bucket = Counter(value * buckets // M for value in seq.d)
     f_max = max(per_bucket.values()) / total
     raw = (f_max - 1.0 / buckets) / (1.0 - 1.0 / buckets)
     return min(1.0, max(0.0, raw))

@@ -27,7 +27,3 @@ class WidthMismatch(CycleModError, ValueError):
 
 class SourceUnavailable(CycleModError, RuntimeError):
     """The requested entropy source cannot be opened on this platform."""
-
-
-class ClockUnavailable(CycleModError, RuntimeError):
-    """No monotonic high-resolution clock is available."""

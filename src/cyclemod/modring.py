@@ -14,15 +14,20 @@ Two inversion routines are provided:
   fixed number of square/select/multiply steps that depends only on p.
   This is the variant to use when operand-independent control flow
   matters.
+
+``counted_inverter`` is the one lookup of a variant by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Literal
 
 from .errors import ModulusMismatch, NotInvertible, OutOfRange
 
 P_MAX = 80
+
+Variant = Literal["euclid", "ct"]
 
 
 @dataclass(frozen=True)
@@ -157,3 +162,14 @@ def inverse_ct(a: Residue) -> Residue:
     """Multiplicative inverse with a step count depending only on p."""
     inv, _ = inverse_ct_counted(a)
     return inv
+
+
+_INVERTERS = {"euclid": inverse_euclid_counted, "ct": inverse_ct_counted}
+
+
+def counted_inverter(variant: str) -> Callable[[Residue], tuple[Residue, int]]:
+    """The counted inverter named by ``variant``: ``a -> (a^-1, steps)``."""
+    try:
+        return _INVERTERS[variant]
+    except KeyError:
+        raise OutOfRange(f"variant must be one of {sorted(_INVERTERS)}, got {variant!r}")

@@ -19,34 +19,23 @@ power of two of the left-hand side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from itertools import islice
+from typing import Iterator
 
 from .errors import OutOfRange
 from .modring import (
     Modulus,
     Residue,
-    inverse_ct,
-    inverse_euclid,
+    Variant,
+    counted_inverter,
     make_modulus,
-    mul_mod,
     neg_mod,
     pow_mod,
 )
 
-Variant = Literal["euclid", "ct"]
-
-_INVERTERS = {"euclid": inverse_euclid, "ct": inverse_ct}
-
-# Orbit enumeration walks one full period; phi(3^26) is the documented
-# practical ceiling.
-ORBIT_P_LIMIT = 26
-
-
-def _inverter(variant: str):
-    try:
-        return _INVERTERS[variant]
-    except KeyError:
-        raise OutOfRange(f"variant must be one of {sorted(_INVERTERS)}, got {variant!r}")
+# Orbit enumeration holds one full period in a set, at 66-99 bytes per
+# unit: phi(3^14) = 3.2M units is about 0.3 GB.
+ORBIT_P_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -60,27 +49,29 @@ class SeedRecord:
 
 @dataclass(frozen=True)
 class SeedSequence:
-    """An ordered run of SeedRecords over a consecutive k-range."""
+    """d_k as plain ints for the consecutive k-range starting at k_start."""
 
     modulus: Modulus
-    records: tuple[SeedRecord, ...]
+    k_start: int
+    d: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.d)
 
     def __iter__(self) -> Iterator[SeedRecord]:
-        return iter(self.records)
-
-    @property
-    def k_start(self) -> int:
-        return self.records[0].k
+        """SeedRecords built on demand; a_k doubles from one k to the next."""
+        m = self.modulus
+        a = compute_a(self.k_start, m).value
+        for k, d in enumerate(self.d, self.k_start):
+            yield SeedRecord(k=k, a_k=Residue(a, m), d_k=Residue(d, m))
+            a = a * 2 % m.M
 
     @property
     def k_end(self) -> int:
-        return self.records[-1].k
+        return self.k_start + len(self.d) - 1
 
     def d_values(self) -> list[int]:
-        return [rec.d_k.value for rec in self.records]
+        return list(self.d)
 
 
 @dataclass(frozen=True)
@@ -110,46 +101,42 @@ def compute_a(k: int, m: Modulus) -> Residue:
 
 def compute_d(k: int, m: Modulus, variant: Variant = "ct") -> Residue:
     """d_k = -(a_k)^-1 mod M; a_k is always a unit, so this never fails."""
-    invert = _inverter(variant)
-    return neg_mod(invert(compute_a(k, m)))
+    inv, _ = counted_inverter(variant)(compute_a(k, m))
+    return neg_mod(inv)
+
+
+def _d_walk(m: Modulus, k_start: int, variant: Variant) -> Iterator[int]:
+    """d_k for k = k_start, k_start + 1, ... as plain ints, without end.
+
+    The inverses of consecutive powers of two differ by a factor of 2^-1,
+    and negation commutes with that, so d_{k+1} = d_k * 2^-1 (mod M). The
+    walk costs two inversions, d_{k_start} and 2^-1, both by ``variant``;
+    every later step is one multiply and one reduction, whatever d_k is.
+    """
+    inv2 = counted_inverter(variant)(m.residue(2))[0].value
+    d = compute_d(k_start, m, variant).value
+    while True:
+        yield d
+        d = d * inv2 % m.M
 
 
 def generate_sequence(
     p: int, k_start: int, k_end: int, variant: Variant = "ct"
 ) -> SeedSequence:
-    """One SeedRecord per k in [k_start, k_end], deterministic across runs."""
+    """d_k for every k in [k_start, k_end], deterministic across runs."""
     if not 1 <= k_start <= k_end:
         raise OutOfRange(f"need 1 <= k_start <= k_end, got [{k_start}, {k_end}]")
     m = make_modulus(p)
-    invert = _inverter(variant)
-    records = []
-    a = compute_a(k_start, m)
-    two = m.residue(2)
-    for k in range(k_start, k_end + 1):
-        records.append(SeedRecord(k=k, a_k=a, d_k=neg_mod(invert(a))))
-        a = mul_mod(a, two)
-    return SeedSequence(modulus=m, records=tuple(records))
+    d = tuple(islice(_d_walk(m, k_start, variant), k_end - k_start + 1))
+    return SeedSequence(modulus=m, k_start=k_start, d=d)
 
 
 def orbit(p: int, variant: Variant = "ct") -> tuple[set[int], int]:
-    """Distinct d_k values over one full period and their count.
-
-    Walks d_k for k = 1..phi(M) using d_{k+1} = d_k * 2^-1 (the inverses
-    of consecutive powers of two differ by a factor of 2^-1, and negation
-    commutes with that), which avoids one full inversion per step. The
-    equivalence with per-k inversion is covered by tests.
-    """
+    """Distinct d_k values over one full period, k = 1..phi(M), and their count."""
     if p > ORBIT_P_LIMIT:
         raise OutOfRange(f"orbit enumeration is capped at p <= {ORBIT_P_LIMIT}, got {p}")
     m = make_modulus(p)
-    invert = _inverter(variant)
-    inv2 = invert(m.residue(2))
-    seen: set[int] = set()
-    # k = 1: a_1 = 1, so d_1 = M - 1; thereafter divide by 2 mod M.
-    d = neg_mod(m.residue(1))
-    for _ in range(m.phi):
-        seen.add(d.value)
-        d = mul_mod(d, inv2)
+    seen = set(islice(_d_walk(m, 1, variant), m.phi))
     return seen, len(seen)
 
 

@@ -30,7 +30,7 @@ def _fmt(x: float) -> str:
 def render_residue_svg(seq: SeedSequence) -> str:
     """Scatter + line plot of (k, d_k) with axes and a fixed title."""
     m = seq.modulus
-    ks = [rec.k for rec in seq]
+    ks = range(seq.k_start, seq.k_end + 1)
     ds = seq.d_values()
 
     x0, x1 = MARGIN_L, VIEW_W - MARGIN_R

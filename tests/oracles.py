@@ -31,6 +31,12 @@ def brute_d(k: int, p: int) -> int:
     return (M - inv) % M
 
 
+def pow_d(k: int, p: int) -> int:
+    """d_k from Python's built-in modular inverse of 2^(k-1); fast at any k."""
+    M = 3**p
+    return -pow(2, -(k - 1), M) % M
+
+
 def units_of(p: int) -> set[int]:
     M = 3**p
     return {x for x in range(1, M) if x % 3 != 0}

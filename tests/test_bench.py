@@ -1,19 +1,20 @@
+from dataclasses import asdict
+
 import pytest
 
 from cyclemod.bench import (
     TimingStats,
     compare_report,
     count_iterations,
-    stats_row,
     time_inversion,
 )
 from cyclemod.errors import OutOfRange
 from cyclemod.modring import make_modulus
 
-ROW_KEYS = {
+ROW_KEYS = [
     "variant", "p", "k_start", "k_end", "reps",
     "mean_ns", "median_ns", "max_jitter_ns", "cv", "iter_min", "iter_max",
-}
+]
 
 
 def test_ct_counts_constant_over_full_period_p5():
@@ -68,29 +69,29 @@ def test_time_inversion_rejects_low_reps():
 def test_timing_stats_invariants_enforced():
     with pytest.raises(OutOfRange):
         TimingStats(
-            variant="ct", p=3, samples=10, mean_ns=1.0, median_ns=1.0,
-            max_jitter_ns=0.0, cv=0.0, iter_min=3, iter_max=5,
+            variant="ct", p=3, k_start=1, k_end=1, reps=10, mean_ns=1.0,
+            median_ns=1.0, max_jitter_ns=0.0, cv=0.0, iter_min=3, iter_max=5,
         )
     with pytest.raises(OutOfRange):
         TimingStats(
-            variant="euclid", p=3, samples=0, mean_ns=1.0, median_ns=1.0,
-            max_jitter_ns=0.0, cv=0.0, iter_min=3, iter_max=5,
+            variant="euclid", p=3, k_start=1, k_end=1, reps=0, mean_ns=1.0,
+            median_ns=1.0, max_jitter_ns=0.0, cv=0.0, iter_min=3, iter_max=5,
         )
 
 
 def test_stats_row_shape():
     stats = time_inversion("euclid", 3, (1, 5), reps=30)
-    row = stats_row(stats, (1, 5), 30)
-    assert set(row) == ROW_KEYS
+    row = asdict(stats)
+    assert list(row) == ROW_KEYS
     assert row["variant"] == "euclid"
-    assert row["reps"] == 30
+    assert (row["k_start"], row["k_end"], row["reps"]) == (1, 5, 30)
 
 
 def test_compare_report_structure():
     report = compare_report(3, (1, 18), reps=30)
     assert [row["variant"] for row in report["rows"]] == ["euclid", "ct"]
     for row in report["rows"]:
-        assert set(row) == ROW_KEYS
+        assert list(row) == ROW_KEYS
     ct_row = report["rows"][1]
     assert ct_row["iter_min"] == ct_row["iter_max"]
     assert report["ct_iterations_constant"] is True

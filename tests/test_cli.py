@@ -130,6 +130,11 @@ def test_decompose_rows(capsys, p, s, expected):
     assert {key: payload[key] for key in expected} == expected
 
 
+def test_decompose_key_order(capsys):
+    _, out, _ = run_cli(capsys, "decompose", "--p", "3", "--s", "1")
+    assert list(json.loads(out)) == ["p", "s", "A", "k", "n", "d", "verified"]
+
+
 def test_plot_emits_deterministic_svg(capsys):
     code, first, _ = run_cli(capsys, "plot", "--p", "1", "--k-end", "61")
     assert code == 0

@@ -20,7 +20,7 @@ unit_fraction = st.floats(0.0, 1.0, allow_nan=False)
 
 
 def empty_sequence(p: int) -> SeedSequence:
-    return SeedSequence(modulus=make_modulus(p), records=())
+    return SeedSequence(modulus=make_modulus(p), k_start=1, d=())
 
 
 def test_cycle_density_examples():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclemod.errors import OutOfRange
 from cyclemod.modring import make_modulus
@@ -11,7 +13,7 @@ from cyclemod.seedgen import (
     orbit,
     verify_identity,
 )
-from oracles import brute_d, slow_pow, units_of
+from oracles import brute_d, pow_d, slow_pow, units_of
 
 # The four worked (p, s) -> (A, k, n, d) decomposition rows.
 WITNESS_ROWS = [
@@ -67,6 +69,20 @@ def test_generate_sequence_records_are_consistent():
         assert rec.a_k == compute_a(rec.k, m)
         assert rec.a_k.value * rec.d_k.value % m.M == m.M - 1
         assert rec.d_k.value % 3 != 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(1, 80),
+    k_start=st.integers(1, 10**12),
+    length=st.integers(1, 64),
+    variant=st.sampled_from(["euclid", "ct"]),
+)
+def test_generate_sequence_matches_pow_at_large_p_and_k(p, k_start, length, variant):
+    ks = range(k_start, k_start + length)
+    seq = generate_sequence(p, ks[0], ks[-1], variant)
+    assert seq.d_values() == [pow_d(k, p) for k in ks]
+    assert [(rec.k, rec.a_k.value) for rec in seq] == [(k, pow(2, k - 1, 3**p)) for k in ks]
 
 
 @pytest.mark.parametrize(
@@ -142,6 +158,8 @@ def test_orbit_matches_per_k_inversion(p, variant):
 
 
 def test_orbit_rejects_oversized_p():
+    with pytest.raises(OutOfRange):
+        orbit(15)
     with pytest.raises(OutOfRange):
         orbit(27)
 
