@@ -1,10 +1,12 @@
 """Timing-uniformity measurements for the two inversion variants.
 
-Exact algorithmic step counts are the portable signal: the Euclid
-variant's loop count varies with the operand while the ladder variant
-performs the same number of steps for every unit at fixed p. Wall-clock
-statistics are also collected, but they depend on the host and are
-reported as advisory only.
+This is the one module that chooses an inverter by name: the seed path
+always uses ``inverse_ct``, and ``bench`` times it against
+``inverse_euclid``. Exact algorithmic step counts are the portable
+signal: the Euclid variant's loop count varies with the operand while
+the ladder variant performs the same number of steps for every unit at
+fixed p. Wall-clock statistics are also collected, but they depend on
+the host and are reported as advisory only.
 """
 
 from __future__ import annotations
@@ -12,13 +14,28 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import asdict, dataclass
+from typing import Callable, Literal
 
 from .errors import OutOfRange
-from .modring import Variant, counted_inverter
+from .modring import Residue, inverse_ct_counted, inverse_euclid_counted
 from .seedgen import generate_sequence
 
 WARMUP_PASSES = 3
 MIN_REPS = 30
+# samples_ns holds one int per timed call, about 36 B each: 10^6 is ~36 MB.
+MAX_SAMPLES = 10**6
+
+Variant = Literal["euclid", "ct"]
+
+_INVERTERS = {"euclid": inverse_euclid_counted, "ct": inverse_ct_counted}
+
+
+def counted_inverter(variant: str) -> Callable[[Residue], tuple[Residue, int]]:
+    """The counted inverter named by ``variant``: ``a -> (a^-1, steps)``."""
+    try:
+        return _INVERTERS[variant]
+    except KeyError:
+        raise OutOfRange(f"variant must be one of {sorted(_INVERTERS)}, got {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +87,8 @@ def time_inversion(
     """Wall-clock statistics over all (k, rep) pairs, warm-up excluded."""
     if reps < MIN_REPS:
         raise OutOfRange(f"reps must be >= {MIN_REPS}, got {reps}")
+    if (k_range[1] - k_range[0] + 1) * reps > MAX_SAMPLES:
+        raise OutOfRange(f"timed samples (k range x reps) are capped at {MAX_SAMPLES}")
 
     counted = counted_inverter(variant)
     operands = _operands(p, k_range)

@@ -23,6 +23,8 @@ from .svgplot import render_residue_svg
 
 THRESHOLD_ENV_VAR = "CYCLEMOD_THRESHOLD"
 PLOT_RANGE_LIMIT = 10**5
+# A token of width w costs w/8 bytes; the widest residue (p = 80) is 127 bits.
+MASK_WIDTH_LIMIT = 4096
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -62,7 +64,13 @@ def dumps_fixed(obj, indent: int = 0) -> str:
 
 
 def _default_threshold() -> float:
-    return float(os.environ.get(THRESHOLD_ENV_VAR, "0.90"))
+    text = os.environ.get(THRESHOLD_ENV_VAR)
+    if text is None:
+        return ecs_mod.DEFAULT_THRESHOLD
+    try:
+        return float(text)
+    except ValueError:
+        raise OutOfRange(f"${THRESHOLD_ENV_VAR} must be a number, got {text!r}") from None
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -77,9 +85,9 @@ def _add_range_args(sub: argparse.ArgumentParser, k_end_required: bool = True) -
     sub.add_argument("--p", type=int, required=True, help="exponent of the modulus 3^p")
     sub.add_argument("--k-start", type=int, default=1, dest="k_start")
     sub.add_argument(
-        "--k-end", type=int, required=k_end_required, default=None, dest="k_end"
+        "--k-end", type=int, required=k_end_required, default=None, dest="k_end",
+        help=None if k_end_required else "defaults to one full period, phi(3^p)",
     )
-    sub.add_argument("--variant", choices=("euclid", "ct"), default="ct")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,12 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     mask.add_argument("--output", default=None)
 
     bench = sub.add_parser("bench", help="compare inversion timing uniformity")
-    bench.add_argument("--p", type=int, required=True)
-    bench.add_argument("--k-start", type=int, default=1, dest="k_start")
-    bench.add_argument(
-        "--k-end", type=int, default=None, dest="k_end",
-        help="defaults to one full period, phi(3^p)",
-    )
+    _add_range_args(bench, k_end_required=False)
     bench.add_argument("--reps", type=int, default=50)
     bench.add_argument("--output", default=None)
 
@@ -139,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    seq = generate_sequence(args.p, args.k_start, args.k_end, args.variant)
+    seq = generate_sequence(args.p, args.k_start, args.k_end)
     if args.format == "csv":
         lines = ["k,a_k,d_k"]
         lines += [f"{r.k},{r.a_k.value},{r.d_k.value}" for r in seq]
@@ -153,7 +156,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_ecs(args: argparse.Namespace) -> int:
     threshold = args.threshold if args.threshold is not None else _default_threshold()
-    seq = generate_sequence(args.p, args.k_start, args.k_end, args.variant)
+    seq = generate_sequence(args.p, args.k_start, args.k_end)
     report = ecs_mod.score(seq, buckets=args.buckets)
     admitted = ecs_mod.admit(report, threshold)
     payload = {
@@ -182,7 +185,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     if args.k_end - args.k_start > PLOT_RANGE_LIMIT:
         raise OutOfRange(f"plot range is capped at {PLOT_RANGE_LIMIT} points")
-    seq = generate_sequence(args.p, args.k_start, args.k_end, args.variant)
+    seq = generate_sequence(args.p, args.k_start, args.k_end)
     _write_output(render_residue_svg(seq), args.output)
     return EXIT_OK
 
@@ -190,6 +193,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
 def cmd_mask(args: argparse.Namespace) -> int:
     m = make_modulus(args.p)
     width = args.width if args.width is not None else m.bit_width
+    if width > MASK_WIDTH_LIMIT:
+        raise OutOfRange(f"token width is capped at {MASK_WIDTH_LIMIT} bits, got {width}")
     if args.r_hex is not None:
         token = token_from_hex(args.r_hex, width)
     elif args.source == "test":
@@ -224,13 +229,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OutOfRange, WidthMismatch, ValueError) as exc:
+    except (OutOfRange, WidthMismatch) as exc:
         print(f"cyclemod {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CycleModError as exc:
-        print(f"cyclemod {args.command}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except OSError as exc:
+    except (CycleModError, OSError) as exc:
         print(f"cyclemod {args.command}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -71,7 +71,10 @@ class HybridSeed:
 
 def token_from_hex(text: str, width: int, source_id: str = "hex") -> EntropyToken:
     """Parse a hex string into a token of the given width."""
-    bits = int(text, 16)
+    try:
+        bits = int(text, 16)
+    except ValueError:
+        raise OutOfRange(f"not a hex string: {text!r}") from None
     return EntropyToken(bits=bits, width=width, source_id=source_id)
 
 

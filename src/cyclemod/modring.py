@@ -8,26 +8,23 @@ bookkeeping sane.
 Two inversion routines are provided:
 
 * ``inverse_euclid`` -- iterative extended Euclid. Its loop count depends
-  on the operand, which is fine for offline table generation but leaks
-  timing.
+  on the operand, which suits the tests' reference and ``bench``'s
+  baseline but leaks timing.
 * ``inverse_ct`` -- Euler ladder ``a^(phi-1) mod M`` evaluated with a
   fixed number of square/select/multiply steps that depends only on p.
-  This is the variant to use when operand-independent control flow
-  matters.
+  The seed path (``seedgen.compute_d``) always uses this one.
 
-``counted_inverter`` is the one lookup of a variant by name.
+Each has a ``_counted`` form that also returns its step count; ``bench``
+looks those up by name to time the two against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
 
 from .errors import ModulusMismatch, NotInvertible, OutOfRange
 
 P_MAX = 80
-
-Variant = Literal["euclid", "ct"]
 
 
 @dataclass(frozen=True)
@@ -162,14 +159,3 @@ def inverse_ct(a: Residue) -> Residue:
     """Multiplicative inverse with a step count depending only on p."""
     inv, _ = inverse_ct_counted(a)
     return inv
-
-
-_INVERTERS = {"euclid": inverse_euclid_counted, "ct": inverse_ct_counted}
-
-
-def counted_inverter(variant: str) -> Callable[[Residue], tuple[Residue, int]]:
-    """The counted inverter named by ``variant``: ``a -> (a^-1, steps)``."""
-    try:
-        return _INVERTERS[variant]
-    except KeyError:
-        raise OutOfRange(f"variant must be one of {sorted(_INVERTERS)}, got {variant!r}")

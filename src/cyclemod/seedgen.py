@@ -23,15 +23,7 @@ from itertools import islice
 from typing import Iterator
 
 from .errors import OutOfRange
-from .modring import (
-    Modulus,
-    Residue,
-    Variant,
-    counted_inverter,
-    make_modulus,
-    neg_mod,
-    pow_mod,
-)
+from .modring import Modulus, Residue, inverse_ct, make_modulus, neg_mod, pow_mod
 
 # Orbit enumeration holds one full period in a set, at 66-99 bytes per
 # unit: phi(3^14) = 3.2M units is about 0.3 GB.
@@ -99,44 +91,42 @@ def compute_a(k: int, m: Modulus) -> Residue:
     return pow_mod(m.residue(2), k - 1)
 
 
-def compute_d(k: int, m: Modulus, variant: Variant = "ct") -> Residue:
-    """d_k = -(a_k)^-1 mod M; a_k is always a unit, so this never fails."""
-    inv, _ = counted_inverter(variant)(compute_a(k, m))
-    return neg_mod(inv)
+def compute_d(k: int, m: Modulus) -> Residue:
+    """d_k = -(a_k)^-1 mod M by the constant-step inverter; a_k is a unit."""
+    return neg_mod(inverse_ct(compute_a(k, m)))
 
 
-def _d_walk(m: Modulus, k_start: int, variant: Variant) -> Iterator[int]:
+def _d_walk(m: Modulus, k_start: int) -> Iterator[int]:
     """d_k for k = k_start, k_start + 1, ... as plain ints, without end.
 
     The inverses of consecutive powers of two differ by a factor of 2^-1,
-    and negation commutes with that, so d_{k+1} = d_k * 2^-1 (mod M). The
-    walk costs two inversions, d_{k_start} and 2^-1, both by ``variant``;
-    every later step is one multiply and one reduction, whatever d_k is.
+    and negation commutes with that, so d_{k+1} = d_k * 2^-1 (mod M). M is
+    odd, so 2^-1 = (M + 1) / 2 needs no inversion: the walk costs one, for
+    d_{k_start}, and every later step is one multiply and one reduction,
+    whatever d_k is.
     """
-    inv2 = counted_inverter(variant)(m.residue(2))[0].value
-    d = compute_d(k_start, m, variant).value
+    inv2 = (m.M + 1) // 2
+    d = compute_d(k_start, m).value
     while True:
         yield d
         d = d * inv2 % m.M
 
 
-def generate_sequence(
-    p: int, k_start: int, k_end: int, variant: Variant = "ct"
-) -> SeedSequence:
+def generate_sequence(p: int, k_start: int, k_end: int) -> SeedSequence:
     """d_k for every k in [k_start, k_end], deterministic across runs."""
     if not 1 <= k_start <= k_end:
         raise OutOfRange(f"need 1 <= k_start <= k_end, got [{k_start}, {k_end}]")
     m = make_modulus(p)
-    d = tuple(islice(_d_walk(m, k_start, variant), k_end - k_start + 1))
+    d = tuple(islice(_d_walk(m, k_start), k_end - k_start + 1))
     return SeedSequence(modulus=m, k_start=k_start, d=d)
 
 
-def orbit(p: int, variant: Variant = "ct") -> tuple[set[int], int]:
+def orbit(p: int) -> tuple[set[int], int]:
     """Distinct d_k values over one full period, k = 1..phi(M), and their count."""
     if p > ORBIT_P_LIMIT:
         raise OutOfRange(f"orbit enumeration is capped at p <= {ORBIT_P_LIMIT}, got {p}")
     m = make_modulus(p)
-    seen = set(islice(_d_walk(m, 1, variant), m.phi))
+    seen = set(islice(_d_walk(m, 1), m.phi))
     return seen, len(seen)
 
 
@@ -146,11 +136,9 @@ def decompose_identity(p: int, s: int) -> IdentityWitness:
     k - 1 is the full 2-adic valuation of A, making the decomposition
     unique with 0 <= d < 2*3^p (and d odd whenever k > 1).
     """
-    if p < 1:
-        raise OutOfRange(f"p must be >= 1, got {p}")
+    M = make_modulus(p).M
     if s < 0:
         raise OutOfRange(f"s must be >= 0, got {s}")
-    M = 3**p
     A = M * (s + 1) - 1
     # v2(A): A >= 2 here, so (A & -A) isolates the lowest set bit.
     v2 = (A & -A).bit_length() - 1

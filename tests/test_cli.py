@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cyclemod
+from cyclemod import cli
 from cyclemod.cli import THRESHOLD_ENV_VAR, dumps_fixed, main
 
 
@@ -54,14 +58,6 @@ def test_gen_rejects_bad_range(capsys):
     assert code == 2
 
 
-def test_gen_variants_agree(capsys):
-    _, out_euclid, _ = run_cli(
-        capsys, "gen", "--p", "4", "--k-end", "54", "--variant", "euclid"
-    )
-    _, out_ct, _ = run_cli(capsys, "gen", "--p", "4", "--k-end", "54", "--variant", "ct")
-    assert out_euclid == out_ct
-
-
 def test_ecs_full_period_with_three_buckets(capsys):
     code, out, _ = run_cli(
         capsys, "ecs", "--p", "2", "--k-end", "6", "--buckets", "3"
@@ -104,6 +100,14 @@ def test_ecs_env_var_overrides_default_threshold(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["threshold"] == 0.5
+
+
+def test_ecs_bad_env_threshold_exits_usage(capsys, monkeypatch):
+    monkeypatch.setenv(THRESHOLD_ENV_VAR, "abc")
+    code, out, err = run_cli(capsys, "ecs", "--p", "2", "--k-end", "6")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and THRESHOLD_ENV_VAR in err
 
 
 def test_ecs_full_traversal_p5(capsys):
@@ -165,6 +169,15 @@ def test_plot_range_cap(capsys):
     assert "capped" in err
 
 
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(seq):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "render_residue_svg", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["plot", "--p", "2", "--k-end", "6"])
+
+
 def test_mask_with_zero_token(capsys):
     code, out, _ = run_cli(capsys, "mask", "--p", "3", "--k", "5", "--r-hex", "00")
     assert code == 0
@@ -198,6 +211,15 @@ def test_mask_bad_hex_exits_usage(capsys):
     assert code == 2
 
 
+def test_mask_width_cap(capsys):
+    code, out, err = run_cli(
+        capsys, "mask", "--p", "3", "--k", "5", "--source", "test", "--width", "4097"
+    )
+    assert code == 2
+    assert out == ""
+    assert "capped" in err
+
+
 def test_bench_report(capsys):
     code, out, _ = run_cli(
         capsys, "bench", "--p", "3", "--k-end", "6", "--reps", "30"
@@ -223,6 +245,15 @@ def test_bench_rejects_low_reps(capsys):
     assert code == 2
 
 
+def test_bench_sample_cap(capsys):
+    code, out, err = run_cli(
+        capsys, "bench", "--p", "1", "--k-end", "2", "--reps", "500001"
+    )
+    assert code == 2
+    assert out == ""
+    assert "capped" in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -230,10 +261,13 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_module_entrypoint_subprocess():
+    # The child imports the same cyclemod this process imported.
+    src = str(Path(cyclemod.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "cyclemod", "gen", "--p", "2", "--k-end", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert proc.stdout == "k,a_k,d_k\n1,1,8\n2,2,4\n3,4,2\n"

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclemod.errors import OutOfRange
-from cyclemod.modring import make_modulus
+from cyclemod.modring import inverse_ct, inverse_euclid, make_modulus, neg_mod
 from cyclemod.seedgen import (
     IdentityWitness,
     compute_a,
@@ -41,9 +41,11 @@ def test_compute_a_rejects_k_zero():
     "k,p,expected",
     [(4, 2, 1), (5, 3, 5), (2, 5, 121), (1, 1, 2)],
 )
-@pytest.mark.parametrize("variant", ["euclid", "ct"])
-def test_compute_d_known_values(k, p, expected, variant):
-    assert compute_d(k, make_modulus(p), variant).value == expected
+@pytest.mark.parametrize("inverse", [inverse_euclid, inverse_ct], ids=["euclid", "ct"])
+def test_compute_d_known_values(k, p, expected, inverse):
+    m = make_modulus(p)
+    assert compute_d(k, m).value == expected
+    assert neg_mod(inverse(compute_a(k, m))).value == expected
     assert brute_d(k, p) == expected
 
 
@@ -76,11 +78,10 @@ def test_generate_sequence_records_are_consistent():
     p=st.integers(1, 80),
     k_start=st.integers(1, 10**12),
     length=st.integers(1, 64),
-    variant=st.sampled_from(["euclid", "ct"]),
 )
-def test_generate_sequence_matches_pow_at_large_p_and_k(p, k_start, length, variant):
+def test_generate_sequence_matches_pow_at_large_p_and_k(p, k_start, length):
     ks = range(k_start, k_start + length)
-    seq = generate_sequence(p, ks[0], ks[-1], variant)
+    seq = generate_sequence(p, ks[0], ks[-1])
     assert seq.d_values() == [pow_d(k, p) for k in ks]
     assert [(rec.k, rec.a_k.value) for rec in seq] == [(k, pow(2, k - 1, 3**p)) for k in ks]
 
@@ -101,13 +102,11 @@ def test_generate_sequence_deterministic_across_runs():
 
 @pytest.mark.parametrize("p", range(1, 8))
 def test_variants_agree_over_a_full_period(p):
-    phi = make_modulus(p).phi
-    assert generate_sequence(p, 1, phi, "euclid") == generate_sequence(p, 1, phi, "ct")
-
-
-def test_unknown_variant_rejected():
-    with pytest.raises(OutOfRange):
-        generate_sequence(2, 1, 3, "fast")  # type: ignore[arg-type]
+    # The walk (one ct inversion, then 2^-1 steps) against a Euclid
+    # inversion of every a_k.
+    m = make_modulus(p)
+    expected = [neg_mod(inverse_euclid(compute_a(k, m))).value for k in range(1, m.phi + 1)]
+    assert generate_sequence(p, 1, m.phi).d_values() == expected
 
 
 @pytest.mark.parametrize("p", range(1, 8))
@@ -150,11 +149,11 @@ def test_orbit_p5_values_span_the_ring_range():
 
 
 @pytest.mark.parametrize("p", range(1, 8))
-@pytest.mark.parametrize("variant", ["euclid", "ct"])
-def test_orbit_matches_per_k_inversion(p, variant):
+@pytest.mark.parametrize("inverse", [inverse_euclid, inverse_ct], ids=["euclid", "ct"])
+def test_orbit_matches_per_k_inversion(p, inverse):
     m = make_modulus(p)
-    expected = {compute_d(k, m, variant).value for k in range(1, m.phi + 1)}
-    assert orbit(p, variant)[0] == expected
+    expected = {neg_mod(inverse(compute_a(k, m))).value for k in range(1, m.phi + 1)}
+    assert orbit(p)[0] == expected
 
 
 def test_orbit_rejects_oversized_p():
@@ -184,6 +183,8 @@ def test_decompose_identity_witness_shape():
 def test_decompose_identity_rejects_bad_args():
     with pytest.raises(OutOfRange):
         decompose_identity(0, 1)
+    with pytest.raises(OutOfRange):
+        decompose_identity(81, 0)
     with pytest.raises(OutOfRange):
         decompose_identity(2, -1)
 
