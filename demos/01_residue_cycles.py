@@ -10,8 +10,8 @@ per period.
 from cyclemod import generate_sequence, make_modulus, orbit
 
 print("first period for p = 2 (modulus 9):")
-for rec in generate_sequence(2, 1, 6):
-    print(f"  k={rec.k}  a_k={rec.a_k.value}  d_k={rec.d_k.value}")
+for k, a_k, d_k in generate_sequence(2, 1, 6):
+    print(f"  k={k}  a_k={a_k}  d_k={d_k}")
 
 print("\nperiodicity: k and k + phi give the same residue")
 seq = generate_sequence(2, 1, 12)

@@ -50,7 +50,6 @@ from .modring import (
 )
 from .seedgen import (
     IdentityWitness,
-    SeedRecord,
     SeedSequence,
     compute_a,
     compute_d,
@@ -73,7 +72,6 @@ __all__ = [
     "neg_mod",
     "inverse_euclid",
     "inverse_ct",
-    "SeedRecord",
     "SeedSequence",
     "IdentityWitness",
     "compute_a",

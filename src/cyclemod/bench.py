@@ -68,8 +68,9 @@ class TimingStats:
         return (self.k_end - self.k_start + 1) * self.reps
 
 
-def _operands(p: int, k_range: tuple[int, int]):
-    return [r.a_k for r in generate_sequence(p, *k_range)]
+def _operands(p: int, k_range: tuple[int, int]) -> list[Residue]:
+    seq = generate_sequence(p, *k_range)
+    return [Residue(a, seq.modulus) for _, a, _ in seq]
 
 
 def count_iterations(

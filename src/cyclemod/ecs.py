@@ -35,13 +35,20 @@ WEIGHT_BIAS = 0.2
 
 @dataclass(frozen=True)
 class EcsReport:
+    """Scored components and composite, fields in ``ecs`` report key order."""
+
     p: int
-    k_range: tuple[int, int]
+    k_start: int
+    k_end: int
+    buckets: int
     cd: float
     rud: float
     mbi: float
     ecs: float
-    bucket_count: int
+
+    @property
+    def k_range(self) -> tuple[int, int]:
+        return self.k_start, self.k_end
 
 
 def _require_records(seq: SeedSequence) -> None:
@@ -95,12 +102,13 @@ def score(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> EcsReport:
     mbi = modular_bias_index(seq, buckets)
     return EcsReport(
         p=seq.modulus.p,
-        k_range=(seq.k_start, seq.k_end),
+        k_start=seq.k_start,
+        k_end=seq.k_end,
+        buckets=buckets,
         cd=cd,
         rud=rud,
         mbi=mbi,
         ecs=weighted_score(cd, rud, mbi),
-        bucket_count=buckets,
     )
 
 

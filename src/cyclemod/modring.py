@@ -127,11 +127,6 @@ def inverse_euclid(a: Residue) -> Residue:
     return inv
 
 
-def ct_ladder_length(m: Modulus) -> int:
-    """Number of ladder steps inverse_ct performs: a function of p only."""
-    return m.bit_width
-
-
 def inverse_ct_counted(a: Residue) -> tuple[Residue, int]:
     """Constant-step inverse plus its (operand-independent) step count.
 
@@ -144,7 +139,7 @@ def inverse_ct_counted(a: Residue) -> tuple[Residue, int]:
     if a.value % 3 == 0:
         raise NotInvertible(f"{a.value} is not invertible mod {m.M}")
     exp = m.phi - 1
-    width = ct_ladder_length(m)
+    width = m.bit_width
     acc = 1
     for i in range(width - 1, -1, -1):
         acc = acc * acc % m.M

@@ -31,15 +31,6 @@ ORBIT_P_LIMIT = 14
 
 
 @dataclass(frozen=True)
-class SeedRecord:
-    """One generated step: index k, exponential a_k, inverse-consistent d_k."""
-
-    k: int
-    a_k: Residue
-    d_k: Residue
-
-
-@dataclass(frozen=True)
 class SeedSequence:
     """d_k as plain ints for the consecutive k-range starting at k_start."""
 
@@ -50,13 +41,13 @@ class SeedSequence:
     def __len__(self) -> int:
         return len(self.d)
 
-    def __iter__(self) -> Iterator[SeedRecord]:
-        """SeedRecords built on demand; a_k doubles from one k to the next."""
-        m = self.modulus
-        a = compute_a(self.k_start, m).value
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        """(k, a_k, d_k) rows as plain ints; a_k doubles from one k to the next."""
+        M = self.modulus.M
+        a = compute_a(self.k_start, self.modulus).value
         for k, d in enumerate(self.d, self.k_start):
-            yield SeedRecord(k=k, a_k=Residue(a, m), d_k=Residue(d, m))
-            a = a * 2 % m.M
+            yield k, a, d
+            a = a * 2 % M
 
     @property
     def k_end(self) -> int:
@@ -149,9 +140,13 @@ def decompose_identity(p: int, s: int) -> IdentityWitness:
 
 def verify_identity(w: IdentityWitness) -> bool:
     """Exact integer check of the witness plus congruence with compute_d."""
-    M = 3**w.p
+    m = make_modulus(w.p)
+    M = m.M
     if w.A != M * (w.s + 1) - 1:
+        return False
+    # 2^(k-1) <= A for any valid witness, so no larger k can verify.
+    if not 1 <= w.k <= w.A.bit_length():
         return False
     if w.A != 2 ** (w.k - 1) * (2 * M * w.n + w.d):
         return False
-    return w.d % M == compute_d(w.k, make_modulus(w.p)).value
+    return w.d % M == compute_d(w.k, m).value

@@ -31,7 +31,6 @@ def render_residue_svg(seq: SeedSequence) -> str:
     """Scatter + line plot of (k, d_k) with axes and a fixed title."""
     m = seq.modulus
     ks = range(seq.k_start, seq.k_end + 1)
-    ds = seq.d_values()
 
     x0, x1 = MARGIN_L, VIEW_W - MARGIN_R
     y0, y1 = VIEW_H - MARGIN_B, MARGIN_T
@@ -79,12 +78,12 @@ def render_residue_svg(seq: SeedSequence) -> str:
         )
     # data: connecting polyline, then the scatter points
     if len(ks) > 1:
-        coords = " ".join(f"{_fmt(sx(k))},{_fmt(sy(d))}" for k, d in zip(ks, ds))
+        coords = " ".join(f"{_fmt(sx(k))},{_fmt(sy(d))}" for k, d in zip(ks, seq.d))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="#888888" '
             f'stroke-width="0.5"/>\n'
         )
-    for k, d in zip(ks, ds):
+    for k, d in zip(ks, seq.d):
         parts.append(
             f'<circle cx="{_fmt(sx(k))}" cy="{_fmt(sy(d))}" r="2" fill="#1f4e8c"/>\n'
         )

@@ -85,8 +85,8 @@ def test_criterion_3_defining_congruence_two_periods():
         failures = 0
         for p in range(1, 8):
             m = make_modulus(p)
-            for rec in generate_sequence(p, 1, 2 * m.phi):
-                if rec.a_k.value * rec.d_k.value % m.M != m.M - 1:
+            for _, a, d in generate_sequence(p, 1, 2 * m.phi):
+                if a * d % m.M != m.M - 1:
                     failures += 1
         assert failures == 0
 

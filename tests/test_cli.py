@@ -1,14 +1,19 @@
+import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cyclemod
 from cyclemod import cli
-from cyclemod.cli import THRESHOLD_ENV_VAR, dumps_fixed, main
+from cyclemod.cli import RANGE_LIMIT, THRESHOLD_ENV_VAR, dumps_fixed, main
 
 
 @pytest.fixture(autouse=True)
@@ -163,9 +168,26 @@ def test_plot_writes_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8").endswith("</svg>\n")
 
 
-def test_plot_range_cap(capsys):
+def test_plot_range_cap(capsys, tmp_path):
     code, _, err = run_cli(capsys, "plot", "--p", "2", "--k-end", "200001")
     assert code == 2
+    assert "capped" in err
+    # The cap counts points inclusively: 100,001 is refused, 100,000 drawn.
+    code, _, err = run_cli(capsys, "plot", "--p", "1", "--k-end", "100001")
+    assert code == 2
+    assert "capped" in err
+    target = str(tmp_path / "max.svg")
+    code, _, _ = run_cli(
+        capsys, "plot", "--p", "1", "--k-start", "2", "--k-end", "100001", "--output", target
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize("verb", ["gen", "ecs"])
+def test_range_cap(capsys, verb):
+    code, out, err = run_cli(capsys, verb, "--p", "1", "--k-end", "1000001")
+    assert code == 2
+    assert out == ""
     assert "capped" in err
 
 
@@ -260,6 +282,16 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_console_script_target_runs_main(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module_name, _, attr = target["cyclemod"].partition(":")
+    entry = getattr(importlib.import_module(module_name), attr)
+    assert entry(["decompose", "--p", "2", "--s", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
 def test_module_entrypoint_subprocess():
     # The child imports the same cyclemod this process imported.
     src = str(Path(cyclemod.__file__).resolve().parent.parent)
@@ -271,3 +303,61 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "k,a_k,d_k\n1,1,8\n2,2,4\n3,4,2\n"
+
+
+# Argument values for the property test: in range, out of range, and
+# text that is not a number at all.
+_P = st.integers(-3, 100).map(str)
+_NUMBER = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "x"]),
+    st.floats(-2, 2).map(str),
+    st.integers(-5, 64).map(str),
+    st.integers(-5, 10**6).map(str),
+)
+
+
+@st.composite
+def _range_args(draw):
+    # Lengths are either small or past every cap, so no example generates
+    # a large sequence; lengths <= 0 give an empty or inverted range.
+    k_start = draw(st.integers(-3, 10**12))
+    length = draw(st.integers(-2, 64) | st.integers(RANGE_LIMIT + 1, 10**12))
+    return ["--p", draw(_P), "--k-start", str(k_start), "--k-end", str(k_start + length - 1)]
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(["gen", "ecs", "plot", "decompose", "mask"]))
+    if verb == "decompose":
+        return [verb, "--p", draw(_P), "--s", str(draw(st.integers(-3, 10**40)))]
+    if verb == "mask":
+        argv = [verb, "--p", draw(_P), "--k", str(draw(st.integers(-3, 10**12)))]
+        if draw(st.booleans()):
+            argv += ["--width", str(draw(st.integers(-5, 5000)))]
+        source = draw(st.sampled_from(["os", "test", "hex"]))
+        if source == "hex":
+            return argv + ["--r-hex", draw(st.text("0123456789abcdefxz_ ", max_size=40))]
+        return argv + ["--source", source]
+    argv = [verb] + draw(_range_args())
+    if verb == "gen":
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    if verb == "ecs":
+        argv += ["--buckets", draw(_NUMBER), "--threshold", draw(_NUMBER)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_cli_never_raises_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert err.getvalue().count("\n") == 1
+        assert out.getvalue() == ""

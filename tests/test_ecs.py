@@ -101,7 +101,7 @@ def test_score_assembles_report():
     report = score(seq, buckets=3)
     assert report.p == 2
     assert report.k_range == (1, 6)
-    assert report.bucket_count == 3
+    assert report.buckets == 3
     assert (report.cd, report.rud, report.mbi) == (1.0, 0.0, 0.0)
     assert report.ecs == 1.0
     assert abs(report.ecs - weighted_score(report.cd, report.rud, report.mbi)) < 1e-12

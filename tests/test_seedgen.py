@@ -67,10 +67,13 @@ def test_generate_sequence_periodicity_p2():
 def test_generate_sequence_records_are_consistent():
     seq = generate_sequence(3, 1, 40)
     m = seq.modulus
-    for rec in seq:
-        assert rec.a_k == compute_a(rec.k, m)
-        assert rec.a_k.value * rec.d_k.value % m.M == m.M - 1
-        assert rec.d_k.value % 3 != 0
+    rows = list(seq)
+    assert [k for k, _, _ in rows] == list(range(1, 41))
+    for k, a, d in rows:
+        assert type(k) is type(a) is type(d) is int
+        assert a == compute_a(k, m).value
+        assert a * d % m.M == m.M - 1
+        assert d % 3 != 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -83,7 +86,7 @@ def test_generate_sequence_matches_pow_at_large_p_and_k(p, k_start, length):
     ks = range(k_start, k_start + length)
     seq = generate_sequence(p, ks[0], ks[-1])
     assert seq.d_values() == [pow_d(k, p) for k in ks]
-    assert [(rec.k, rec.a_k.value) for rec in seq] == [(k, pow(2, k - 1, 3**p)) for k in ks]
+    assert list(seq) == [(k, pow(2, k - 1, 3**p), pow_d(k, p)) for k in ks]
 
 
 @pytest.mark.parametrize(
@@ -112,8 +115,8 @@ def test_variants_agree_over_a_full_period(p):
 @pytest.mark.parametrize("p", range(1, 8))
 def test_defining_congruence_over_two_periods(p):
     m = make_modulus(p)
-    for rec in generate_sequence(p, 1, min(2 * m.phi, 200)):
-        assert rec.a_k.value * rec.d_k.value % m.M == m.M - 1
+    for _, a, d in generate_sequence(p, 1, min(2 * m.phi, 200)):
+        assert a * d % m.M == m.M - 1
 
 
 @pytest.mark.parametrize("p", range(1, 8))
@@ -191,6 +194,13 @@ def test_decompose_identity_rejects_bad_args():
 
 def test_verify_identity_rejects_wrong_k():
     assert not verify_identity(IdentityWitness(p=2, s=0, A=8, k=3, n=0, d=1))
+    # k = 0 matches A as 2^-1 * 16; it must be rejected, not raise.
+    assert not verify_identity(IdentityWitness(p=2, s=0, A=8, k=0, n=0, d=16))
+
+
+def test_verify_identity_rejects_bad_p():
+    with pytest.raises(OutOfRange):
+        verify_identity(IdentityWitness(p=81, s=0, A=0, k=1, n=0, d=0))
 
 
 def test_verify_identity_rejects_wrong_A():
