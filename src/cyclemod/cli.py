@@ -11,7 +11,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
+from itertools import islice, starmap
+from typing import Iterator, TextIO
 
 from . import bench as bench_mod
 from . import ecs as ecs_mod
@@ -24,13 +27,21 @@ from .seedgen import (
 from .svgplot import render_residue_svg
 
 THRESHOLD_ENV_VAR = "CYCLEMOD_THRESHOLD"
-# Records per range verb. At p = 80, 10^6 records peak at about 390 MB of
-# RSS for gen CSV, 650 MB for gen JSON and 150 MB for ecs; 10^5 plot points
-# at about 42 MB.
+# Records per range verb. At p = 80, 10^6 records peak at about 72 MB of
+# RSS for gen CSV or JSON (mostly the d_k tuple; the text is streamed) and
+# 130 MB for ecs; 10^5 plot points at about 36 MB.
 RANGE_LIMIT = 10**6
 PLOT_RANGE_LIMIT = 10**5
 # A token of width w costs w/8 bytes; the widest residue (p = 80) is 127 bits.
 MASK_WIDTH_LIMIT = 4096
+
+# gen writes GEN_CHUNK rows at a time as (head, row, separator, tail). A
+# JSON row is dumps_fixed's layout of {"k", "a_k", "d_k"} inside a list.
+GEN_CHUNK = 4096
+_GEN_FORMATS = {
+    "csv": ("k,a_k,d_k\n", "{},{},{}", "\n", "\n"),
+    "json": ("[\n", '  {{\n    "k": {},\n    "a_k": {},\n    "d_k": {}\n  }}', ",\n", "\n]\n"),
+}
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -79,12 +90,19 @@ def _default_threshold() -> float:
         raise OutOfRange(f"${THRESHOLD_ENV_VAR} must be a number, got {text!r}") from None
 
 
-def _write_output(text: str, path: str | None) -> None:
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """Standard output, or the ``--output`` file opened for the block."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_output(text: str, path: str | None) -> None:
+    with _output(path) as out:
+        out.write(text)
 
 
 def _add_range_args(sub: argparse.ArgumentParser, k_end_required: bool = True) -> None:
@@ -156,14 +174,16 @@ def _sequence(args: argparse.Namespace, limit: int) -> SeedSequence:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     seq = _sequence(args, RANGE_LIMIT)
-    if args.format == "csv":
-        lines = ["k,a_k,d_k"]
-        lines += [f"{k},{a},{d}" for k, a, d in seq]
-        text = "\n".join(lines) + "\n"
-    else:
-        rows = [{"k": k, "a_k": a, "d_k": d} for k, a, d in seq]
-        text = dumps_fixed(rows) + "\n"
-    _write_output(text, args.output)
+    head, row, sep, tail = _GEN_FORMATS[args.format]
+    rows = iter(seq)
+    with _output(args.output) as out:
+        out.write(head)
+        lead = ""
+        while chunk := sep.join(starmap(row.format, islice(rows, GEN_CHUNK))):
+            out.write(lead)
+            out.write(chunk)
+            lead = sep
+        out.write(tail)
     return EXIT_OK
 
 

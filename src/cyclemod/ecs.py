@@ -74,32 +74,45 @@ def residue_uniformity_deviation(seq: SeedSequence) -> float:
     contribute 1/phi each.
     """
     _require_records(seq)
-    phi = seq.modulus.phi
-    counts = Counter(seq.d)
-    total = len(seq)
+    return _uniformity_deviation(Counter(seq.d), len(seq), seq.modulus.phi)
+
+
+def modular_bias_index(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> float:
+    """Normalized max-bucket excess over equal-width subranges of [0, M)."""
+    _check_buckets(buckets)
+    _require_records(seq)
+    return _bias_index(Counter(seq.d), len(seq), seq.modulus.M, buckets)
+
+
+def _check_buckets(buckets: int) -> None:
+    if buckets < 2:
+        raise OutOfRange(f"buckets must be >= 2, got {buckets}")
+
+
+def _uniformity_deviation(counts: Counter, total: int, phi: int) -> float:
     visited_gap = sum(abs(c / total - 1.0 / phi) for c in counts.values())
     unvisited_gap = (phi - len(counts)) / phi
     return 0.5 * (visited_gap + unvisited_gap)
 
 
-def modular_bias_index(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> float:
-    """Normalized max-bucket excess over equal-width subranges of [0, M)."""
-    if buckets < 2:
-        raise OutOfRange(f"buckets must be >= 2, got {buckets}")
-    _require_records(seq)
-    M = seq.modulus.M
-    total = len(seq)
-    per_bucket = Counter(value * buckets // M for value in seq.d)
+def _bias_index(counts: Counter, total: int, M: int, buckets: int) -> float:
+    per_bucket = Counter()
+    for value, c in counts.items():
+        per_bucket[value * buckets // M] += c
     f_max = max(per_bucket.values()) / total
     raw = (f_max - 1.0 / buckets) / (1.0 - 1.0 / buckets)
     return min(1.0, max(0.0, raw))
 
 
 def score(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> EcsReport:
-    """Assemble all components and their weighted composite."""
-    cd = cycle_density(seq)
-    rud = residue_uniformity_deviation(seq)
-    mbi = modular_bias_index(seq, buckets)
+    """Assemble all components and their weighted composite from one count of d_k."""
+    _require_records(seq)
+    _check_buckets(buckets)
+    counts = Counter(seq.d)
+    total = len(seq)
+    cd = len(counts) / seq.modulus.phi
+    rud = _uniformity_deviation(counts, total, seq.modulus.phi)
+    mbi = _bias_index(counts, total, seq.modulus.M, buckets)
     return EcsReport(
         p=seq.modulus.p,
         k_start=seq.k_start,

@@ -3,6 +3,10 @@
 No plotting dependency: the byte output must be identical for identical
 inputs so it can be pinned by golden tests. Coordinates are formatted
 with .2f, integers stay integers, and the element order is fixed.
+
+The data points are drawn in one formatting pass over chunks of CHUNK
+points: each point's x and y text is formatted once and shared by the
+polyline and its circle, and no coordinate list spans the whole range.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ MARGIN_L = 56
 MARGIN_R = 20
 MARGIN_T = 36
 MARGIN_B = 44
+# Points formatted per pass of the data loop.
+CHUNK = 4096
 
 _HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -23,25 +29,21 @@ _HEADER = (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
 def render_residue_svg(seq: SeedSequence) -> str:
     """Scatter + line plot of (k, d_k) with axes and a fixed title."""
     m = seq.modulus
-    ks = range(seq.k_start, seq.k_end + 1)
 
     x0, x1 = MARGIN_L, VIEW_W - MARGIN_R
     y0, y1 = VIEW_H - MARGIN_B, MARGIN_T
     k_span = max(seq.k_end - seq.k_start, 1)
     d_span = max(m.M - 1, 1)
+    dx, dy = x1 - x0, y1 - y0
 
     def sx(k: int) -> float:
-        return x0 + (k - seq.k_start) * (x1 - x0) / k_span
+        return x0 + (k - seq.k_start) * dx / k_span
 
     def sy(d: int) -> float:
-        return y0 + d * (y1 - y0) / d_span
+        return y0 + d * dy / d_span
 
     parts = [_HEADER]
     parts.append(f'<rect x="0" y="0" width="{VIEW_W}" height="{VIEW_H}" fill="white"/>\n')
@@ -68,24 +70,38 @@ def render_residue_svg(seq: SeedSequence) -> str:
     )
     for k, anchor in ((seq.k_start, "start"), (seq.k_end, "end")):
         parts.append(
-            f'<text x="{_fmt(sx(k))}" y="{y0 + 16}" text-anchor="{anchor}" '
+            f'<text x="{sx(k):.2f}" y="{y0 + 16}" text-anchor="{anchor}" '
             f'font-family="monospace" font-size="11">{k}</text>\n'
         )
     for d in (0, m.M - 1):
         parts.append(
-            f'<text x="{x0 - 6}" y="{_fmt(sy(d) + 4)}" text-anchor="end" '
+            f'<text x="{x0 - 6}" y="{sy(d) + 4:.2f}" text-anchor="end" '
             f'font-family="monospace" font-size="11">{d}</text>\n'
         )
-    # data: connecting polyline, then the scatter points
-    if len(ks) > 1:
-        coords = " ".join(f"{_fmt(sx(k))},{_fmt(sy(d))}" for k, d in zip(ks, seq.d))
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="#888888" '
-            f'stroke-width="0.5"/>\n'
-        )
-    for k, d in zip(ks, seq.d):
-        parts.append(
-            f'<circle cx="{_fmt(sx(k))}" cy="{_fmt(sy(d))}" r="2" fill="#1f4e8c"/>\n'
-        )
+    # data: the connecting polyline, then the scatter points. One pass over
+    # CHUNK-point slices formats each point's x and y once, by sx and sy's
+    # expressions inlined, for both; the polyline text goes straight into
+    # parts, the circle text after it.
+    n = len(seq)
+    # Past one period the d_k repeat, so each distinct y is formatted once.
+    y_text = {d: f"{y0 + d * dy / d_span:.2f}" for d in set(seq.d)} if n > m.phi else None
+    circles = []
+    if n > 1:
+        parts.append('<polyline points="')
+    for start in range(0, n, CHUNK):
+        ds = seq.d[start:start + CHUNK]
+        xs = [f"{x0 + i * dx / k_span:.2f}" for i in range(start, start + len(ds))]
+        if y_text is None:
+            ys = [f"{y0 + d * dy / d_span:.2f}" for d in ds]
+        else:
+            ys = [y_text[d] for d in ds]
+        if n > 1:
+            parts.append((" " if start else "") + " ".join([f"{x},{y}" for x, y in zip(xs, ys)]))
+        circles.append("".join([
+            f'<circle cx="{x}" cy="{y}" r="2" fill="#1f4e8c"/>\n' for x, y in zip(xs, ys)
+        ]))
+    if n > 1:
+        parts.append('" fill="none" stroke="#888888" stroke-width="0.5"/>\n')
+    parts += circles
     parts.append("</svg>\n")
     return "".join(parts)

@@ -40,3 +40,60 @@ def pow_d(k: int, p: int) -> int:
 def units_of(p: int) -> set[int]:
     M = 3**p
     return {x for x in range(1, M) if x % 3 != 0}
+
+
+def svg_reference(p: int, k_start: int, d_list: list[int]) -> str:
+    """The residue map drawn point by point with per-point f-strings.
+
+    A plain-int copy of the original one-element-per-point renderer:
+    800x400 view, margins 56/20/36/44, .2f coordinates, polyline before
+    the circles.
+    """
+    M = 3**p
+    k_end = k_start + len(d_list) - 1
+    x0, x1 = 56, 800 - 20
+    y0, y1 = 400 - 44, 36
+    k_span = max(k_end - k_start, 1)
+    d_span = max(M - 1, 1)
+
+    def sx(k):
+        return x0 + (k - k_start) * (x1 - x0) / k_span
+
+    def sy(d):
+        return y0 + d * (y1 - y0) / d_span
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 400" '
+        'width="800" height="400">\n',
+        '<rect x="0" y="0" width="800" height="400" fill="white"/>\n',
+        '<text x="400" y="22" text-anchor="middle" '
+        f'font-family="monospace" font-size="16">d_k mod 3^{p}</text>\n',
+        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black" stroke-width="1"/>\n',
+        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black" stroke-width="1"/>\n',
+        f'<text x="{(x0 + x1) // 2}" y="390" text-anchor="middle" '
+        'font-family="monospace" font-size="12">k</text>\n',
+        f'<text x="16" y="{(y0 + y1) // 2}" text-anchor="middle" '
+        'font-family="monospace" font-size="12" '
+        f'transform="rotate(-90 16 {(y0 + y1) // 2})">d_k</text>\n',
+    ]
+    for k, anchor in ((k_start, "start"), (k_end, "end")):
+        parts.append(
+            f'<text x="{sx(k):.2f}" y="{y0 + 16}" text-anchor="{anchor}" '
+            f'font-family="monospace" font-size="11">{k}</text>\n'
+        )
+    for d in (0, M - 1):
+        parts.append(
+            f'<text x="{x0 - 6}" y="{sy(d) + 4:.2f}" text-anchor="end" '
+            f'font-family="monospace" font-size="11">{d}</text>\n'
+        )
+    points = list(zip(range(k_start, k_end + 1), d_list))
+    if len(points) > 1:
+        coords = " ".join(f"{sx(k):.2f},{sy(d):.2f}" for k, d in points)
+        parts.append(
+            f'<polyline points="{coords}" fill="none" stroke="#888888" stroke-width="0.5"/>\n'
+        )
+    for k, d in points:
+        parts.append(f'<circle cx="{sx(k):.2f}" cy="{sy(d):.2f}" r="2" fill="#1f4e8c"/>\n')
+    parts.append("</svg>\n")
+    return "".join(parts)

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import pow_d
 
 import cyclemod
 from cyclemod import cli
-from cyclemod.cli import RANGE_LIMIT, THRESHOLD_ENV_VAR, dumps_fixed, main
+from cyclemod.cli import GEN_CHUNK, RANGE_LIMIT, THRESHOLD_ENV_VAR, dumps_fixed, main
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +51,25 @@ def test_gen_json(capsys):
     rows = json.loads(out)
     assert [row["d_k"] for row in rows] == [8, 4, 2, 1, 5, 7]
     assert rows[0] == {"k": 1, "a_k": 1, "d_k": 8}
+
+
+@pytest.mark.parametrize("n", [GEN_CHUNK - 1, GEN_CHUNK, GEN_CHUNK + 1, 2 * GEN_CHUNK + 1])
+def test_gen_streams_whole_rows_at_chunk_edges(n, capsys, tmp_path):
+    p, k0 = 80, 10**12
+    rows = [(k, pow(2, k - 1, 3**p), pow_d(k, p)) for k in range(k0, k0 + n)]
+    expected = {
+        "csv": "k,a_k,d_k\n" + "".join(f"{k},{a},{d}\n" for k, a, d in rows),
+        "json": dumps_fixed([{"k": k, "a_k": a, "d_k": d} for k, a, d in rows]) + "\n",
+    }
+    for fmt, text in expected.items():
+        argv = ["gen", "--p", str(p), "--k-start", str(k0), "--k-end", str(k0 + n - 1),
+                "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == text
+        target = tmp_path / f"gen.{fmt}"
+        assert main(argv + ["--output", str(target)]) == 0
+        assert target.read_bytes() == out.encode()
 
 
 def test_gen_rejects_bad_p(capsys):
