@@ -27,9 +27,9 @@ from .seedgen import (
 from .svgplot import render_residue_svg
 
 THRESHOLD_ENV_VAR = "CYCLEMOD_THRESHOLD"
-# Records per range verb. At p = 80, 10^6 records peak at about 72 MB of
-# RSS for gen CSV or JSON (mostly the d_k tuple; the text is streamed) and
-# 130 MB for ecs; 10^5 plot points at about 36 MB.
+# Records per range verb. The verbs walk d_k and store none: at p = 80,
+# 10^6 records peak at about 18 MB of RSS for gen (CSV or JSON) and 16 MB
+# for ecs, near the import's 16 MB; 10^5 plot points at about 31 MB.
 RANGE_LIMIT = 10**6
 PLOT_RANGE_LIMIT = 10**5
 # A token of width w costs w/8 bytes; the widest residue (p = 80) is 127 bits.

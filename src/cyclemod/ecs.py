@@ -15,12 +15,17 @@ The composite score is the fixed weighted sum
     ecs = 0.4 * cd + 0.4 * (1 - rud) + 0.2 * (1 - mbi)
 
 and a sequence is admitted when ecs >= threshold (default 0.90).
+
+The d_k walk visits every unit once per period phi(M), so ``score``
+walks at most one period of a range and holds no record: it costs
+O(min(L, phi)) for L records.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 from .errors import EmptySequence, OutOfRange
 from .seedgen import SeedSequence
@@ -51,11 +56,6 @@ class EcsReport:
         return self.k_start, self.k_end
 
 
-def _require_records(seq: SeedSequence) -> None:
-    if len(seq) == 0:
-        raise EmptySequence("sequence has no records")
-
-
 def weighted_score(cd: float, rud: float, mbi: float) -> float:
     """The fixed 0.4/0.4/0.2 composite of the three components."""
     return WEIGHT_CD * cd + WEIGHT_UNIFORMITY * (1.0 - rud) + WEIGHT_BIAS * (1.0 - mbi)
@@ -63,8 +63,7 @@ def weighted_score(cd: float, rud: float, mbi: float) -> float:
 
 def cycle_density(seq: SeedSequence) -> float:
     """|distinct d_k| / phi(M)."""
-    _require_records(seq)
-    return len(set(seq.d)) / seq.modulus.phi
+    return score(seq).cd
 
 
 def residue_uniformity_deviation(seq: SeedSequence) -> float:
@@ -73,46 +72,37 @@ def residue_uniformity_deviation(seq: SeedSequence) -> float:
     RUD = 1/2 * sum over units x of |freq(x) - 1/phi|; unvisited units
     contribute 1/phi each.
     """
-    _require_records(seq)
-    return _uniformity_deviation(Counter(seq.d), len(seq), seq.modulus.phi)
+    return score(seq).rud
 
 
 def modular_bias_index(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> float:
     """Normalized max-bucket excess over equal-width subranges of [0, M)."""
-    _check_buckets(buckets)
-    _require_records(seq)
-    return _bias_index(Counter(seq.d), len(seq), seq.modulus.M, buckets)
-
-
-def _check_buckets(buckets: int) -> None:
-    if buckets < 2:
-        raise OutOfRange(f"buckets must be >= 2, got {buckets}")
-
-
-def _uniformity_deviation(counts: Counter, total: int, phi: int) -> float:
-    visited_gap = sum(abs(c / total - 1.0 / phi) for c in counts.values())
-    unvisited_gap = (phi - len(counts)) / phi
-    return 0.5 * (visited_gap + unvisited_gap)
-
-
-def _bias_index(counts: Counter, total: int, M: int, buckets: int) -> float:
-    per_bucket = Counter()
-    for value, c in counts.items():
-        per_bucket[value * buckets // M] += c
-    f_max = max(per_bucket.values()) / total
-    raw = (f_max - 1.0 / buckets) / (1.0 - 1.0 / buckets)
-    return min(1.0, max(0.0, raw))
+    return score(seq, buckets).mbi
 
 
 def score(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> EcsReport:
-    """Assemble all components and their weighted composite from one count of d_k."""
-    _require_records(seq)
-    _check_buckets(buckets)
-    counts = Counter(seq.d)
+    """Assemble all components and their weighted composite from one period of d_k.
+
+    L = q*phi + r records visit the first min(L, phi) values walked, the
+    i-th of them q + (i < r) times; gaps are summed in that first-visit order.
+    """
     total = len(seq)
-    cd = len(counts) / seq.modulus.phi
-    rud = _uniformity_deviation(counts, total, seq.modulus.phi)
-    mbi = _bias_index(counts, total, seq.modulus.M, buckets)
+    if total == 0:
+        raise EmptySequence("sequence has no records")
+    if buckets < 2:
+        raise OutOfRange(f"buckets must be >= 2, got {buckets}")
+    M, phi = seq.modulus.M, seq.modulus.phi
+    distinct = min(total, phi)
+    q, r = divmod(total, phi)
+    per_bucket = Counter()
+    for i, d in enumerate(islice(seq.walk(), distinct)):
+        per_bucket[d * buckets // M] += q + (i < r)
+    counts = chain(repeat(q + 1, r), repeat(q, distinct - r))
+    visited_gap = sum(abs(c / total - 1.0 / phi) for c in counts)
+    cd = distinct / phi
+    rud = 0.5 * (visited_gap + (phi - distinct) / phi)
+    raw = (max(per_bucket.values()) / total - 1.0 / buckets) / (1.0 - 1.0 / buckets)
+    mbi = min(1.0, max(0.0, raw))
     return EcsReport(
         p=seq.modulus.p,
         k_start=seq.k_start,

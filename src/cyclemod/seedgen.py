@@ -6,7 +6,9 @@ The generator maps an index k to the unit
 
 so every record satisfies 2^(k-1) * d_k = -1 (mod 3^p). Because 2
 generates the full unit group mod 3^p, the d_k walk is periodic with
-period phi(3^p) and visits every unit exactly once per period.
+period phi(3^p) and visits every unit exactly once per period. A
+``SeedSequence`` is therefore just its k range: it stores no d_k, and
+its consumers walk them on demand.
 
 The same residues arise from the integer identity
 
@@ -19,7 +21,6 @@ power of two of the left-hand side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 from .errors import OutOfRange
@@ -32,29 +33,41 @@ ORBIT_P_LIMIT = 14
 
 @dataclass(frozen=True)
 class SeedSequence:
-    """d_k as plain ints for the consecutive k-range starting at k_start."""
+    """The consecutive k range [k_start, k_end] of d_k mod 3^p."""
 
     modulus: Modulus
     k_start: int
-    d: tuple[int, ...]
+    k_end: int
 
     def __len__(self) -> int:
-        return len(self.d)
+        return self.k_end - self.k_start + 1
+
+    def walk(self) -> Iterator[int]:
+        """d_k for k = k_start..k_end as plain ints.
+
+        The inverses of consecutive powers of two differ by a factor of 2^-1,
+        and negation commutes with that, so d_{k+1} = d_k * 2^-1 (mod M). M is
+        odd, so 2^-1 = (M + 1) / 2 needs no inversion: a walk costs one, for
+        d_{k_start}, and every later step is one multiply and one reduction,
+        whatever d_k is.
+        """
+        M = self.modulus.M
+        inv2 = (M + 1) // 2
+        d = compute_d(self.k_start, self.modulus).value
+        for _ in range(self.k_start, self.k_end + 1):
+            yield d
+            d = d * inv2 % M
 
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
         """(k, a_k, d_k) rows as plain ints; a_k doubles from one k to the next."""
         M = self.modulus.M
         a = compute_a(self.k_start, self.modulus).value
-        for k, d in enumerate(self.d, self.k_start):
+        for k, d in enumerate(self.walk(), self.k_start):
             yield k, a, d
             a = a * 2 % M
 
-    @property
-    def k_end(self) -> int:
-        return self.k_start + len(self.d) - 1
-
     def d_values(self) -> list[int]:
-        return list(self.d)
+        return list(self.walk())
 
 
 @dataclass(frozen=True)
@@ -87,37 +100,18 @@ def compute_d(k: int, m: Modulus) -> Residue:
     return neg_mod(inverse_ct(compute_a(k, m)))
 
 
-def _d_walk(m: Modulus, k_start: int) -> Iterator[int]:
-    """d_k for k = k_start, k_start + 1, ... as plain ints, without end.
-
-    The inverses of consecutive powers of two differ by a factor of 2^-1,
-    and negation commutes with that, so d_{k+1} = d_k * 2^-1 (mod M). M is
-    odd, so 2^-1 = (M + 1) / 2 needs no inversion: the walk costs one, for
-    d_{k_start}, and every later step is one multiply and one reduction,
-    whatever d_k is.
-    """
-    inv2 = (m.M + 1) // 2
-    d = compute_d(k_start, m).value
-    while True:
-        yield d
-        d = d * inv2 % m.M
-
-
 def generate_sequence(p: int, k_start: int, k_end: int) -> SeedSequence:
-    """d_k for every k in [k_start, k_end], deterministic across runs."""
+    """The range k in [k_start, k_end], validated; its d_k are walked on demand."""
     if not 1 <= k_start <= k_end:
         raise OutOfRange(f"need 1 <= k_start <= k_end, got [{k_start}, {k_end}]")
-    m = make_modulus(p)
-    d = tuple(islice(_d_walk(m, k_start), k_end - k_start + 1))
-    return SeedSequence(modulus=m, k_start=k_start, d=d)
+    return SeedSequence(modulus=make_modulus(p), k_start=k_start, k_end=k_end)
 
 
 def orbit(p: int) -> tuple[set[int], int]:
     """Distinct d_k values over one full period, k = 1..phi(M), and their count."""
     if p > ORBIT_P_LIMIT:
         raise OutOfRange(f"orbit enumeration is capped at p <= {ORBIT_P_LIMIT}, got {p}")
-    m = make_modulus(p)
-    seen = set(islice(_d_walk(m, 1), m.phi))
+    seen = set(generate_sequence(p, 1, make_modulus(p).phi).walk())
     return seen, len(seen)
 
 

@@ -5,11 +5,14 @@ inputs so it can be pinned by golden tests. Coordinates are formatted
 with .2f, integers stay integers, and the element order is fixed.
 
 The data points are drawn in one formatting pass over chunks of CHUNK
-points: each point's x and y text is formatted once and shared by the
-polyline and its circle, and no coordinate list spans the whole range.
+points taken from the sequence's d_k walk: each point's x and y text is
+formatted once and shared by the polyline and its circle, and no d_k or
+coordinate list spans the whole range.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .seedgen import SeedSequence
 
@@ -79,18 +82,21 @@ def render_residue_svg(seq: SeedSequence) -> str:
             f'font-family="monospace" font-size="11">{d}</text>\n'
         )
     # data: the connecting polyline, then the scatter points. One pass over
-    # CHUNK-point slices formats each point's x and y once, by sx and sy's
-    # expressions inlined, for both; the polyline text goes straight into
-    # parts, the circle text after it.
+    # CHUNK-point pieces of the walk formats each point's x and y once, by
+    # sx and sy's expressions inlined, for both; the polyline text goes
+    # straight into parts, the circle text after it.
     n = len(seq)
-    # Past one period the d_k repeat, so each distinct y is formatted once.
-    y_text = {d: f"{y0 + d * dy / d_span:.2f}" for d in set(seq.d)} if n > m.phi else None
+    # Past one period the d_k repeat, so each y of one period is formatted once.
+    y_text = None
+    if n > m.phi:
+        y_text = {d: f"{y0 + d * dy / d_span:.2f}" for d in islice(seq.walk(), m.phi)}
+    walk = seq.walk()
     circles = []
     if n > 1:
         parts.append('<polyline points="')
     for start in range(0, n, CHUNK):
-        ds = seq.d[start:start + CHUNK]
-        xs = [f"{x0 + i * dx / k_span:.2f}" for i in range(start, start + len(ds))]
+        ds = islice(walk, CHUNK)
+        xs = [f"{x0 + i * dx / k_span:.2f}" for i in range(start, min(start + CHUNK, n))]
         if y_text is None:
             ys = [f"{y0 + d * dy / d_span:.2f}" for d in ds]
         else:

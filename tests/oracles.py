@@ -5,6 +5,8 @@ from exhaustive search, powers from repeated multiplication, and
 distributions from hand-countable loops.
 """
 
+from collections import Counter
+
 
 def search_inverse(a: int, M: int) -> int | None:
     """Smallest t in [1, M) with a*t = 1 (mod M), or None."""
@@ -35,6 +37,27 @@ def pow_d(k: int, p: int) -> int:
     """d_k from Python's built-in modular inverse of 2^(k-1); fast at any k."""
     M = 3**p
     return -pow(2, -(k - 1), M) % M
+
+
+def ecs_reference(p: int, k_start: int, k_end: int, buckets: int) -> tuple[float, ...]:
+    """(cd, rud, mbi, ecs) from a count of every d_k in the range.
+
+    The d_k come from ``pow_d`` in k order, so the count lists the units in
+    first-visit order; the floats follow the original record-counting
+    formulas term for term.
+    """
+    M, phi = 3**p, 2 * 3 ** (p - 1)
+    counts = Counter(pow_d(k, p) for k in range(k_start, k_end + 1))
+    total = k_end - k_start + 1
+    cd = len(counts) / phi
+    visited_gap = sum(abs(c / total - 1.0 / phi) for c in counts.values())
+    rud = 0.5 * (visited_gap + (phi - len(counts)) / phi)
+    per_bucket = Counter()
+    for value, c in counts.items():
+        per_bucket[value * buckets // M] += c
+    f_max = max(per_bucket.values()) / total
+    mbi = min(1.0, max(0.0, (f_max - 1.0 / buckets) / (1.0 - 1.0 / buckets)))
+    return cd, rud, mbi, 0.4 * cd + 0.4 * (1.0 - rud) + 0.2 * (1.0 - mbi)
 
 
 def units_of(p: int) -> set[int]:

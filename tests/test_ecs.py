@@ -15,12 +15,13 @@ from cyclemod.ecs import (
 from cyclemod.errors import EmptySequence, OutOfRange
 from cyclemod.modring import make_modulus
 from cyclemod.seedgen import SeedSequence, generate_sequence
+from oracles import ecs_reference
 
 unit_fraction = st.floats(0.0, 1.0, allow_nan=False)
 
 
 def empty_sequence(p: int) -> SeedSequence:
-    return SeedSequence(modulus=make_modulus(p), k_start=1, d=())
+    return SeedSequence(modulus=make_modulus(p), k_start=1, k_end=0)
 
 
 def test_cycle_density_examples():
@@ -105,6 +106,39 @@ def test_score_assembles_report():
     assert (report.cd, report.rud, report.mbi) == (1.0, 0.0, 0.0)
     assert report.ecs == 1.0
     assert abs(report.ecs - weighted_score(report.cd, report.rud, report.mbi)) < 1e-12
+
+
+BUCKET_CHOICES = (2, 3, 9, 10**6)
+
+
+def assert_scores_match_reference(p, k_start, k_end):
+    seq = generate_sequence(p, k_start, k_end)
+    for buckets in BUCKET_CHOICES:
+        expected = ecs_reference(p, k_start, k_end, buckets)
+        report = score(seq, buckets)
+        assert (report.cd, report.rud, report.mbi, report.ecs) == expected
+        assert modular_bias_index(seq, buckets) == expected[2]
+    assert (cycle_density(seq), residue_uniformity_deviation(seq)) == expected[:2]
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_scores_match_record_count_within_and_across_periods(p):
+    # Every start within one period, and lengths on both sides of the
+    # period and its multiples, so that q and r = L mod phi take every role.
+    phi = make_modulus(p).phi
+    lengths = {1, phi - 1, phi, phi + 1, 2 * phi + 1, 3 * phi + 1}
+    for k_start in range(1, phi + 1):
+        for length in lengths:
+            assert_scores_match_reference(p, k_start, k_start + length - 1)
+
+
+@pytest.mark.parametrize("p", [41, 80])
+@pytest.mark.parametrize("k_start", [1, 2, 3**5, 10**6 + 1, 10**12 - 63, 10**12])
+def test_scores_match_record_count_at_large_p_and_k(p, k_start):
+    # phi exceeds sys.maxsize from p = 41 on, so the walk's bound must come
+    # from the range length.
+    for length in (1, 2, 17, 64):
+        assert_scores_match_reference(p, k_start, k_start + length - 1)
 
 
 @pytest.mark.parametrize("p", range(2, 8))

@@ -1,8 +1,11 @@
 """Peak traced allocation of the range verbs, against the bytes they produce.
 
-A verb that held its whole output as per-row or per-point objects before
-joining it would peak at several times its output; these bounds leave
-room for the output string itself and the generated sequence, no more.
+A sequence is its k range and the verbs walk its d_k, so only their
+output may grow with the range. A verb that held its whole output as
+per-row or per-point objects before joining it would peak at several
+times its output; these bounds leave room for the output string itself,
+no more. A range alone, and ``ecs``, whose report does not grow with the
+range, stay within fixed budgets.
 """
 
 import tracemalloc
@@ -39,3 +42,18 @@ def test_gen_to_file_peak_below_bytes_written(fmt, tmp_path):
     code, peak = traced_peak(lambda: main(argv))
     assert code == 0
     assert peak < target.stat().st_size
+
+
+def test_generate_sequence_allocates_nothing_per_record():
+    seq, peak = traced_peak(lambda: generate_sequence(80, 10**9, 10**9 + 10**6 - 1))
+    assert len(seq) == 10**6
+    assert peak < 64 * 1024
+
+
+def test_ecs_peak_below_a_megabyte(tmp_path):
+    target = tmp_path / "ecs.json"
+    argv = ["ecs", "--p", "80", "--k-start", str(10**9), "--k-end", str(10**9 + 99_999),
+            "--output", str(target)]
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == 3  # 10^5 of about 10^38 units is far below the threshold
+    assert peak < 1024 * 1024
