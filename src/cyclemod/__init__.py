@@ -20,7 +20,6 @@ from .ecs import (
 from .errors import (
     CycleModError,
     EmptySequence,
-    ModulusMismatch,
     NotInvertible,
     OutOfRange,
     SourceUnavailable,
@@ -44,9 +43,6 @@ from .modring import (
     inverse_ct,
     inverse_euclid,
     make_modulus,
-    mul_mod,
-    neg_mod,
-    pow_mod,
 )
 from .seedgen import (
     IdentityWitness,
@@ -67,9 +63,6 @@ __all__ = [
     "Modulus",
     "Residue",
     "make_modulus",
-    "mul_mod",
-    "pow_mod",
-    "neg_mod",
     "inverse_euclid",
     "inverse_ct",
     "SeedSequence",
@@ -105,7 +98,6 @@ __all__ = [
     "render_residue_svg",
     "CycleModError",
     "OutOfRange",
-    "ModulusMismatch",
     "NotInvertible",
     "EmptySequence",
     "WidthMismatch",

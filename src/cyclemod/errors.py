@@ -9,10 +9,6 @@ class OutOfRange(CycleModError, ValueError):
     """A parameter fell outside its documented domain."""
 
 
-class ModulusMismatch(CycleModError, ValueError):
-    """Residues from different rings were combined."""
-
-
 class NotInvertible(CycleModError, ArithmeticError):
     """Inversion requested for a non-unit (a multiple of 3)."""
 

@@ -1,9 +1,9 @@
 """Exact arithmetic in Z/3^pZ.
 
 All values are canonical representatives in [0, M) with M = 3^p. Python
-integers keep every intermediate exact, so there is no overflow ceiling
-below P_MAX; the bound exists to keep orbit enumeration and bit-width
-bookkeeping sane.
+integers keep every intermediate exact, so there is no overflow ceiling;
+P_MAX = 80 is the API bound, at which a residue is 127 bits wide.
+``seedgen.ORBIT_P_LIMIT`` caps orbit enumeration separately.
 
 Two inversion routines are provided:
 
@@ -22,9 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ModulusMismatch, NotInvertible, OutOfRange
+from .errors import NotInvertible, OutOfRange
 
 P_MAX = 80
+# (M, phi) per admissible p: make_modulus never raises 3 to an unchecked p.
+_RINGS = {p: (3**p, 2 * 3 ** (p - 1)) for p in range(1, P_MAX + 1)}
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,12 @@ class Modulus:
     p: int
     M: int
     phi: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.p <= P_MAX:
+            raise OutOfRange(f"p must be in [1, {P_MAX}], got {self.p}")
+        if (self.M, self.phi) != _RINGS.get(self.p):
+            raise OutOfRange(f"M={self.M}, phi={self.phi} do not match p={self.p}")
 
     def residue(self, value: int) -> "Residue":
         """Canonical residue of an arbitrary integer."""
@@ -58,44 +66,10 @@ class Residue:
                 f"residue value {self.value} not canonical for M={self.modulus.M}"
             )
 
-    def __int__(self) -> int:
-        return self.value
-
 
 def make_modulus(p: int) -> Modulus:
     """Build the ring parameters for exponent p (1 <= p <= P_MAX)."""
-    if not 1 <= p <= P_MAX:
-        raise OutOfRange(f"p must be in [1, {P_MAX}], got {p}")
-    M = 3**p
-    return Modulus(p=p, M=M, phi=2 * 3 ** (p - 1))
-
-
-def _same_ring(a: Residue, b: Residue) -> Modulus:
-    if a.modulus != b.modulus:
-        raise ModulusMismatch(
-            f"cannot combine residues mod {a.modulus.M} and mod {b.modulus.M}"
-        )
-    return a.modulus
-
-
-def mul_mod(a: Residue, b: Residue) -> Residue:
-    """(a * b) mod M; both operands must live in the same ring."""
-    m = _same_ring(a, b)
-    return Residue(a.value * b.value % m.M, m)
-
-
-def pow_mod(base: Residue, exp: int) -> Residue:
-    """base^exp mod M by square-and-multiply (variable time)."""
-    if exp < 0:
-        raise OutOfRange(f"exponent must be >= 0, got {exp}")
-    m = base.modulus
-    return Residue(pow(base.value, exp, m.M), m)
-
-
-def neg_mod(a: Residue) -> Residue:
-    """Additive inverse, canonical: (M - a) mod M."""
-    m = a.modulus
-    return Residue((m.M - a.value) % m.M, m)
+    return Modulus(p, *_RINGS.get(p, (0, 0)))
 
 
 def inverse_euclid_counted(a: Residue) -> tuple[Residue, int]:

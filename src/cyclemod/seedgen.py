@@ -20,11 +20,12 @@ power of two of the left-hand side.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import OutOfRange
-from .modring import Modulus, Residue, inverse_ct, make_modulus, neg_mod, pow_mod
+from .modring import Modulus, Residue, inverse_ct, make_modulus
 
 # Orbit enumeration holds one full period in a set, at 66-99 bytes per
 # unit: phi(3^14) = 3.2M units is about 0.3 GB.
@@ -92,18 +93,21 @@ def compute_a(k: int, m: Modulus) -> Residue:
     """a_k = 2^(k-1) mod M."""
     if k < 1:
         raise OutOfRange(f"k must be >= 1, got {k}")
-    return pow_mod(m.residue(2), k - 1)
+    return Residue(pow(2, k - 1, m.M), m)
 
 
 def compute_d(k: int, m: Modulus) -> Residue:
     """d_k = -(a_k)^-1 mod M by the constant-step inverter; a_k is a unit."""
-    return neg_mod(inverse_ct(compute_a(k, m)))
+    # A unit's inverse lies in [1, M), so M minus it is already canonical.
+    return Residue(m.M - inverse_ct(compute_a(k, m)).value, m)
 
 
 def generate_sequence(p: int, k_start: int, k_end: int) -> SeedSequence:
     """The range k in [k_start, k_end], validated; its d_k are walked on demand."""
     if not 1 <= k_start <= k_end:
         raise OutOfRange(f"need 1 <= k_start <= k_end, got [{k_start}, {k_end}]")
+    if k_end - k_start >= sys.maxsize:  # len(seq) must fit in an index
+        raise OutOfRange(f"a range holds at most {sys.maxsize} records")
     return SeedSequence(modulus=make_modulus(p), k_start=k_start, k_end=k_end)
 
 

@@ -2,19 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclemod.errors import ModulusMismatch, NotInvertible, OutOfRange
+from cyclemod.errors import NotInvertible, OutOfRange
 from cyclemod.modring import (
     P_MAX,
+    Modulus,
     inverse_ct,
     inverse_ct_counted,
     inverse_euclid,
     inverse_euclid_counted,
     make_modulus,
-    mul_mod,
-    neg_mod,
-    pow_mod,
 )
-from oracles import search_inverse, slow_pow, units_of
+from oracles import search_inverse, units_of
 
 
 @pytest.mark.parametrize("p,M,phi", [(1, 3, 2), (2, 9, 6), (3, 27, 18), (5, 243, 162)])
@@ -36,46 +34,26 @@ def test_make_modulus_rejects_out_of_range(p):
         make_modulus(p)
 
 
+@pytest.mark.parametrize(
+    "p,M,phi",
+    [
+        (2, 10, 4),       # neither M nor phi is that of p
+        (2, 9, 4),        # phi wrong
+        (3, 9, 18),       # M wrong
+        (80, 3**79, 2 * 3**79),  # the ring of p - 1
+        (0, 1, 1),
+        (P_MAX + 1, 3 ** (P_MAX + 1), 2 * 3**P_MAX),
+    ],
+)
+def test_modulus_rejects_inconsistent_parameters(p, M, phi):
+    with pytest.raises(OutOfRange):
+        Modulus(p=p, M=M, phi=phi)
+
+
 def test_residue_construction_canonicalizes():
     m = make_modulus(2)
     assert m.residue(17).value == 8
     assert m.residue(-1).value == 8
-
-
-def test_mul_mod_against_integer_arithmetic():
-    m = make_modulus(2)
-    assert mul_mod(m.residue(8), m.residue(8)).value == 8 * 8 % 9 == 1
-
-
-def test_mul_mod_identity_and_zero():
-    m = make_modulus(4)
-    x = m.residue(37)
-    assert mul_mod(m.residue(1), x) == x
-    assert mul_mod(m.residue(0), x).value == 0
-
-
-def test_mul_mod_rejects_mixed_moduli():
-    with pytest.raises(ModulusMismatch):
-        mul_mod(make_modulus(2).residue(1), make_modulus(3).residue(1))
-
-
-def test_pow_mod_small_values():
-    m9 = make_modulus(2)
-    assert pow_mod(m9.residue(2), 3).value == 8
-    assert pow_mod(make_modulus(5).residue(2), 0).value == 1
-    # order of 2 mod 9 is phi(9) = 6
-    assert pow_mod(m9.residue(2), 6).value == slow_pow(2, 6, 9) == 1
-
-
-def test_pow_mod_matches_repeated_multiplication():
-    m = make_modulus(3)
-    for exp in range(0, 40):
-        assert pow_mod(m.residue(5), exp).value == slow_pow(5, exp, 27)
-
-
-def test_pow_mod_rejects_negative_exponent():
-    with pytest.raises(OutOfRange):
-        pow_mod(make_modulus(2).residue(2), -1)
 
 
 @pytest.mark.parametrize(
@@ -138,37 +116,16 @@ def test_euclid_step_count_varies_with_operand():
     assert len(counts) > 1
 
 
-@pytest.mark.parametrize(
-    "p,a,expected",
-    [
-        (2, 8, 1),   # -8 mod 9
-        (2, 0, 0),   # negation fixed point
-        (3, 22, 5),  # -22 mod 27
-    ],
-)
-def test_neg_mod(p, a, expected):
-    assert neg_mod(make_modulus(p).residue(a)).value == expected
-
-
 @pytest.mark.parametrize("p", range(1, 13))
 def test_two_is_a_primitive_root(p):
     # 2^phi = 1 and no exponent in {1..phi-1} reaches 1 first.
     m = make_modulus(p)
-    assert pow_mod(m.residue(2), m.phi).value == 1
+    assert pow(2, m.phi, m.M) == 1
     acc = 2 % m.M
     for _ in range(m.phi - 1):
         assert acc != 1
         acc = acc * 2 % m.M
     assert acc == 1
-
-
-@settings(max_examples=300)
-@given(p=st.integers(1, 30), x=st.integers(), y=st.integers())
-def test_outputs_are_canonical(p, x, y):
-    m = make_modulus(p)
-    a, b = m.residue(x), m.residue(y)
-    for out in (mul_mod(a, b), neg_mod(a), pow_mod(a, abs(y) % 64)):
-        assert 0 <= out.value < m.M
 
 
 @settings(max_examples=200)

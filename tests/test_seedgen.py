@@ -1,9 +1,11 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclemod.errors import OutOfRange
-from cyclemod.modring import inverse_ct, inverse_euclid, make_modulus, neg_mod
+from cyclemod.modring import inverse_ct, inverse_euclid, make_modulus
 from cyclemod.seedgen import (
     IdentityWitness,
     compute_a,
@@ -45,7 +47,7 @@ def test_compute_a_rejects_k_zero():
 def test_compute_d_known_values(k, p, expected, inverse):
     m = make_modulus(p)
     assert compute_d(k, m).value == expected
-    assert neg_mod(inverse(compute_a(k, m))).value == expected
+    assert -inverse(compute_a(k, m)).value % m.M == expected
     assert brute_d(k, p) == expected
 
 
@@ -87,6 +89,11 @@ def test_generate_sequence_matches_pow_at_large_p_and_k(p, k_start, length):
     seq = generate_sequence(p, ks[0], ks[-1])
     assert seq.d_values() == [pow_d(k, p) for k in ks]
     assert list(seq) == [(k, pow(2, k - 1, 3**p), pow_d(k, p)) for k in ks]
+    m = seq.modulus
+    for k in ks:
+        a, d = compute_a(k, m), compute_d(k, m)
+        assert (a.value, d.value) == (pow(2, k - 1, 3**p), pow_d(k, p))
+        assert a.modulus is d.modulus is m
 
 
 @pytest.mark.parametrize(
@@ -95,6 +102,16 @@ def test_generate_sequence_matches_pow_at_large_p_and_k(p, k_start, length):
 def test_generate_sequence_rejects_bad_bounds(k_start, k_end):
     with pytest.raises(OutOfRange):
         generate_sequence(2, k_start, k_end)
+
+
+def test_generate_sequence_caps_length_at_maxsize():
+    # len() of a longer range would not fit in an index, so score and
+    # render_residue_svg would raise OverflowError on it.
+    with pytest.raises(OutOfRange):
+        generate_sequence(41, 1, 2 * 3**40)
+    with pytest.raises(OutOfRange):
+        generate_sequence(41, 1, sys.maxsize + 1)
+    assert len(generate_sequence(41, 1, sys.maxsize)) == sys.maxsize
 
 
 def test_generate_sequence_deterministic_across_runs():
@@ -108,7 +125,7 @@ def test_variants_agree_over_a_full_period(p):
     # The walk (one ct inversion, then 2^-1 steps) against a Euclid
     # inversion of every a_k.
     m = make_modulus(p)
-    expected = [neg_mod(inverse_euclid(compute_a(k, m))).value for k in range(1, m.phi + 1)]
+    expected = [-inverse_euclid(compute_a(k, m)).value % m.M for k in range(1, m.phi + 1)]
     assert generate_sequence(p, 1, m.phi).d_values() == expected
 
 
@@ -155,7 +172,7 @@ def test_orbit_p5_values_span_the_ring_range():
 @pytest.mark.parametrize("inverse", [inverse_euclid, inverse_ct], ids=["euclid", "ct"])
 def test_orbit_matches_per_k_inversion(p, inverse):
     m = make_modulus(p)
-    expected = {neg_mod(inverse(compute_a(k, m))).value for k in range(1, m.phi + 1)}
+    expected = {-inverse(compute_a(k, m)).value % m.M for k in range(1, m.phi + 1)}
     assert orbit(p)[0] == expected
 
 
