@@ -29,7 +29,7 @@ print(f"token {token.hex()} -> hybrid seed {seed.hex()}")
 print(f"unmask recovers {unmask(seed, token).value}")
 
 print("\nreproducible test-source stream (seed 7):")
-stream = entropy_source("deterministic_test", modulus=m, seed=7)
+stream = entropy_source("deterministic_test", m.bit_width, seed=7)
 for tok in itertools.islice(stream, 4):
     print(f"  {tok.source_id}: {tok.hex()}")
 

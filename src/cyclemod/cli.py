@@ -126,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_range_args(gen)
     gen.add_argument("--format", choices=("csv", "json"), default="csv")
     gen.add_argument("--output", default=None)
+    gen.set_defaults(func=cmd_gen)
 
     ecs = sub.add_parser("ecs", help="score a sequence and gate on the threshold")
     _add_range_args(ecs)
@@ -134,18 +135,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold",
         type=float,
         default=None,
-        help=f"admission threshold (default 0.90, or ${THRESHOLD_ENV_VAR})",
+        help=f"admission threshold (default {ecs_mod.DEFAULT_THRESHOLD:.2f}, or ${THRESHOLD_ENV_VAR})",
     )
     ecs.add_argument("--output", default=None)
+    ecs.set_defaults(func=cmd_ecs)
 
     dec = sub.add_parser("decompose", help="integer identity witness for (p, s)")
     dec.add_argument("--p", type=int, required=True)
     dec.add_argument("--s", type=int, required=True)
     dec.add_argument("--output", default=None)
+    dec.set_defaults(func=cmd_decompose)
 
     plot = sub.add_parser("plot", help="deterministic SVG residue map")
     _add_range_args(plot)
     plot.add_argument("--output", default=None)
+    plot.set_defaults(func=cmd_plot)
 
     mask = sub.add_parser("mask", help="XOR-mask d_k with an entropy token")
     mask.add_argument("--p", type=int, required=True)
@@ -156,11 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--source", choices=("test", "os"), default=None)
     mask.add_argument("--seed", type=int, default=0, help="seed for --source test")
     mask.add_argument("--output", default=None)
+    mask.set_defaults(func=cmd_mask)
 
     bench = sub.add_parser("bench", help="compare inversion timing uniformity")
     _add_range_args(bench, k_end_required=False)
     bench.add_argument("--reps", type=int, default=50)
     bench.add_argument("--output", default=None)
+    bench.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -199,6 +205,10 @@ def cmd_ecs(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     witness = decompose_identity(args.p, args.s)
+    # A is the one decimal no input bounds: str() refuses it past the digit limit.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and witness.A >= 10**digits:
+        raise OutOfRange(f"A = 3^p(s+1) - 1 must have at most {digits} digits")
     payload = {**asdict(witness), "verified": verify_identity(witness)}
     _write_output(dumps_fixed(payload) + "\n", args.output)
     return EXIT_OK
@@ -234,21 +244,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "gen": cmd_gen,
-    "ecs": cmd_ecs,
-    "decompose": cmd_decompose,
-    "plot": cmd_plot,
-    "mask": cmd_mask,
-    "bench": cmd_bench,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except (OutOfRange, WidthMismatch) as exc:
         print(f"cyclemod {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

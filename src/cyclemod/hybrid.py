@@ -7,8 +7,9 @@ their own KDF or hash. No cryptographic primitive is implemented here;
 the shipped conditioner is the identity on the concatenated bytes.
 
 Bit strings are held as nonnegative ints with an explicit width and
-serialize as lowercase hex, most-significant bit first. Token width
-defaults to the bit width of M so no residue bit is ever truncated.
+serialize as lowercase hex, most-significant bit first. A token must be
+at least the bit width of M wide (the CLI's default), so no residue bit
+is ever truncated.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Literal
 
 from .errors import OutOfRange, SourceUnavailable, WidthMismatch
-from .modring import Modulus, Residue, make_modulus
+from .modring import Residue, make_modulus
 
 # Odd 64-bit mixing constants for the counter-based test source
 # (successive tokens always differ because the stride is odd).
@@ -132,11 +133,7 @@ def mask_conditioned(
 
 
 def entropy_source(
-    kind: Literal["deterministic_test", "os"],
-    width: int | None = None,
-    *,
-    modulus: Modulus | None = None,
-    seed: int = 0,
+    kind: Literal["deterministic_test", "os"], width: int, *, seed: int = 0
 ) -> Iterator[EntropyToken]:
     """Stream of entropy tokens; exclusive to one consumer.
 
@@ -146,10 +143,6 @@ def entropy_source(
     successive tokens always differ. ``os`` draws from the platform
     randomness facility.
     """
-    if width is None:
-        if modulus is None:
-            raise OutOfRange("entropy_source needs an explicit width or a modulus")
-        width = modulus.bit_width
     if width < 1:
         raise OutOfRange(f"token width must be >= 1, got {width}")
 

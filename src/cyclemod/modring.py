@@ -20,28 +20,29 @@ looks those up by name to time the two against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NotInvertible, OutOfRange
 
 P_MAX = 80
-# (M, phi) per admissible p: make_modulus never raises 3 to an unchecked p.
+# (M, phi) per admissible p: Modulus never raises 3 to an unchecked p.
 _RINGS = {p: (3**p, 2 * 3 ** (p - 1)) for p in range(1, P_MAX + 1)}
 
 
 @dataclass(frozen=True)
 class Modulus:
-    """Ring parameterization: modulus M = 3^p and unit-group order phi."""
+    """Ring parameterization, built from p alone: M = 3^p and phi = phi(M)."""
 
     p: int
-    M: int
-    phi: int
+    M: int = field(init=False)
+    phi: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.p <= P_MAX:
+        if self.p not in _RINGS:
             raise OutOfRange(f"p must be in [1, {P_MAX}], got {self.p}")
-        if (self.M, self.phi) != _RINGS.get(self.p):
-            raise OutOfRange(f"M={self.M}, phi={self.phi} do not match p={self.p}")
+        M, phi = _RINGS[self.p]
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "phi", phi)
 
     def residue(self, value: int) -> "Residue":
         """Canonical residue of an arbitrary integer."""
@@ -69,7 +70,7 @@ class Residue:
 
 def make_modulus(p: int) -> Modulus:
     """Build the ring parameters for exponent p (1 <= p <= P_MAX)."""
-    return Modulus(p, *_RINGS.get(p, (0, 0)))
+    return Modulus(p)
 
 
 def inverse_euclid_counted(a: Residue) -> tuple[Residue, int]:

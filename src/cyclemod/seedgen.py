@@ -137,14 +137,12 @@ def decompose_identity(p: int, s: int) -> IdentityWitness:
 
 
 def verify_identity(w: IdentityWitness) -> bool:
-    """Exact integer check of the witness plus congruence with compute_d."""
-    m = make_modulus(w.p)
-    M = m.M
+    """Exact integer check of the witness; d = d_k (mod 3^p) follows from it."""
+    M = make_modulus(w.p).M
     if w.A != M * (w.s + 1) - 1:
         return False
     # 2^(k-1) <= A for any valid witness, so no larger k can verify.
     if not 1 <= w.k <= w.A.bit_length():
         return False
-    if w.A != 2 ** (w.k - 1) * (2 * M * w.n + w.d):
-        return False
-    return w.d % M == compute_d(w.k, m).value
+    # A = -1 (mod M), so d reduces to d_k without an inversion.
+    return w.A == 2 ** (w.k - 1) * (2 * M * w.n + w.d)

@@ -164,6 +164,15 @@ def test_decompose_key_order(capsys):
     assert list(json.loads(out)) == ["p", "s", "A", "k", "n", "d", "verified"]
 
 
+@pytest.mark.parametrize("p", ["1", "80"])
+def test_decompose_refuses_a_past_the_digit_limit(capsys, p):
+    # The widest --s that int() parses: A = 3^p(s+1) - 1 has more digits.
+    code, out, err = run_cli(capsys, "decompose", "--p", p, "--s", "9" * 4300)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "digits" in err
+
+
 def test_plot_emits_deterministic_svg(capsys):
     code, first, _ = run_cli(capsys, "plot", "--p", "1", "--k-end", "61")
     assert code == 0
@@ -349,7 +358,8 @@ def _range_args(draw):
 def _argv(draw):
     verb = draw(st.sampled_from(["gen", "ecs", "plot", "decompose", "mask"]))
     if verb == "decompose":
-        return [verb, "--p", draw(_P), "--s", str(draw(st.integers(-3, 10**40)))]
+        s = draw(st.integers(-3, 10**40) | st.integers(10**4299, 10**4300 - 1))
+        return [verb, "--p", draw(_P), "--s", str(s)]
     if verb == "mask":
         argv = [verb, "--p", draw(_P), "--k", str(draw(st.integers(-3, 10**12)))]
         if draw(st.booleans()):

@@ -169,12 +169,6 @@ def test_source_tokens_have_declared_width():
         assert 0 <= token.bits < 2**11
 
 
-def test_source_width_from_modulus():
-    m = make_modulus(5)
-    token = next(entropy_source("deterministic_test", modulus=m, seed=1))
-    assert token.width == m.bit_width == 8
-
-
 def test_os_source_yields_tokens():
     tokens = list(itertools.islice(entropy_source("os", 16), 4))
     assert all(t.width == 16 and 0 <= t.bits < 2**16 for t in tokens)
@@ -183,5 +177,3 @@ def test_os_source_yields_tokens():
 def test_source_rejects_unknown_kind():
     with pytest.raises(OutOfRange):
         entropy_source("quantum", 8)  # type: ignore[arg-type]
-    with pytest.raises(OutOfRange):
-        entropy_source("os")

@@ -34,9 +34,16 @@ def test_make_modulus_rejects_out_of_range(p):
         make_modulus(p)
 
 
+@pytest.mark.parametrize("p", [0, P_MAX + 1, 5.5, 10**100])
+def test_modulus_rejects_p_without_a_ring(p):
+    with pytest.raises(OutOfRange):
+        Modulus(p)
+
+
 @pytest.mark.parametrize(
     "p,M,phi",
     [
+        (2, 9, 6),        # even the ring's own M and phi
         (2, 10, 4),       # neither M nor phi is that of p
         (2, 9, 4),        # phi wrong
         (3, 9, 18),       # M wrong
@@ -46,8 +53,19 @@ def test_make_modulus_rejects_out_of_range(p):
     ],
 )
 def test_modulus_rejects_inconsistent_parameters(p, M, phi):
-    with pytest.raises(OutOfRange):
+    # p fixes M and phi, so a Modulus takes neither.
+    with pytest.raises(TypeError):
+        Modulus(p, M, phi)
+    with pytest.raises(TypeError):
         Modulus(p=p, M=M, phi=phi)
+
+
+def test_modulus_is_built_from_p_alone():
+    m = Modulus(5)
+    assert (m.p, m.M, m.phi) == (5, 243, 162)
+    assert m == make_modulus(5) and hash(m) == hash(make_modulus(5))
+    assert repr(m) == "Modulus(p=5, M=243, phi=162)"
+    assert make_modulus(5.0).M == 243
 
 
 def test_residue_construction_canonicalizes():

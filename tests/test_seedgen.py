@@ -234,3 +234,19 @@ def test_unreduced_d_bridges_to_canonical_residue():
 def test_decompose_verify_round_trip(p):
     for s in range(0, 301):
         assert verify_identity(decompose_identity(p, s))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(1, 80), s=st.integers(0, 10**40), data=st.data())
+def test_verified_witness_reduces_to_d_k(p, s, data):
+    # Any power of two dividing A and any quotient n, canonical or not: the
+    # integer identity alone must pin d to d_k (mod 3^p).
+    w = decompose_identity(p, s)
+    M = 3**p
+    k = data.draw(st.integers(1, w.k))
+    q = w.A >> (k - 1)
+    n = q // (2 * M) + data.draw(st.integers(-3, 3))
+    d = q - 2 * M * n
+    assert verify_identity(IdentityWitness(p, s, w.A, k, n, d))
+    assert d % M == pow_d(k, p)
+    assert not verify_identity(IdentityWitness(p, s, w.A, k, n, d + 1))
