@@ -16,7 +16,6 @@ from dataclasses import asdict
 from itertools import islice, starmap
 from typing import Iterator, TextIO
 
-from . import bench as bench_mod
 from . import ecs as ecs_mod
 from .errors import CycleModError, OutOfRange, WidthMismatch
 from .hybrid import entropy_source, mask_xor, token_from_hex
@@ -28,8 +27,8 @@ from .svgplot import render_residue_svg
 
 THRESHOLD_ENV_VAR = "CYCLEMOD_THRESHOLD"
 # Records per range verb. The verbs walk d_k and store none: at p = 80,
-# 10^6 records peak at about 18 MB of RSS for gen (CSV or JSON) and 16 MB
-# for ecs, near the import's 16 MB; 10^5 plot points at about 31 MB.
+# 10^6 records peak at about 17-18 MB of RSS for gen (CSV or JSON) and
+# 15 MB for ecs, as does importing cli; 10^5 plot points at about 30 MB.
 RANGE_LIMIT = 10**6
 PLOT_RANGE_LIMIT = 10**5
 # A token of width w costs w/8 bytes; the widest residue (p = 80) is 127 bits.
@@ -96,7 +95,11 @@ def _output(path: str | None) -> Iterator[TextIO]:
     if path is None:
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise OutOfRange(f"cannot write --output {path}: {exc.strerror}") from None
+        with fh:
             yield fh
 
 
@@ -237,6 +240,8 @@ def cmd_mask(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench as bench_mod  # only bench needs statistics
+
     m = make_modulus(args.p)
     k_end = args.k_end if args.k_end is not None else m.phi
     report = bench_mod.compare_report(args.p, (args.k_start, k_end), args.reps)

@@ -41,6 +41,7 @@ class Modulus:
         if self.p not in _RINGS:
             raise OutOfRange(f"p must be in [1, {P_MAX}], got {self.p}")
         M, phi = _RINGS[self.p]
+        object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "phi", phi)
 

@@ -125,7 +125,8 @@ def decompose_identity(p: int, s: int) -> IdentityWitness:
     k - 1 is the full 2-adic valuation of A, making the decomposition
     unique with 0 <= d < 2*3^p (and d odd whenever k > 1).
     """
-    M = make_modulus(p).M
+    m = make_modulus(p)
+    M = m.M
     if s < 0:
         raise OutOfRange(f"s must be >= 0, got {s}")
     A = M * (s + 1) - 1
@@ -133,7 +134,7 @@ def decompose_identity(p: int, s: int) -> IdentityWitness:
     v2 = (A & -A).bit_length() - 1
     q = A >> v2
     n, d = divmod(q, 2 * M)
-    return IdentityWitness(p=p, s=s, A=A, k=v2 + 1, n=n, d=d)
+    return IdentityWitness(p=m.p, s=s, A=A, k=v2 + 1, n=n, d=d)
 
 
 def verify_identity(w: IdentityWitness) -> bool:

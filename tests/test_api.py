@@ -1,6 +1,16 @@
 """The package's public names are what ``__all__`` says they are."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import cyclemod
+
+SRC = str(Path(cyclemod.__file__).resolve().parent.parent)
 
 
 def test_all_names_are_bound_once_and_star_import_works():
@@ -10,3 +20,60 @@ def test_all_names_are_bound_once_and_star_import_works():
     namespace = {}
     exec("from cyclemod import *", namespace)
     assert set(cyclemod.__all__) <= namespace.keys()
+    with pytest.raises(AttributeError):
+        cyclemod.no_such_name
+    assert set(cyclemod.__all__) <= set(dir(cyclemod))
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The ``cyclemod.*`` and ``statistics`` modules a fresh interpreter holds after ``code``."""
+    report = (
+        "import json, sys; print(json.dumps(sorted(n for n in sys.modules"
+        " if n.startswith('cyclemod.') or n == 'statistics')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_after("import cyclemod") == []
+
+
+# Each verb as `python -m cyclemod` runs it, writing to a file so stdout
+# carries only the module report.
+_RUN_MODULE = """\
+import runpy, sys
+sys.argv = ["cyclemod", *{argv!r}]
+try:
+    runpy.run_module("cyclemod", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--p", "2", "--k-end", "3"],
+        ["ecs", "--p", "2", "--k-end", "6"],
+        ["plot", "--p", "2", "--k-end", "6"],
+        ["decompose", "--p", "2", "--s", "0"],
+        ["mask", "--p", "3", "--k", "5", "--r-hex", "13"],
+    ],
+)
+def test_verbs_other_than_bench_load_no_bench(tmp_path, argv):
+    argv = [*argv, "--output", str(tmp_path / "out")]
+    loaded = _loaded_after(_RUN_MODULE.format(argv=argv))
+    assert "cyclemod.cli" in loaded
+    assert "cyclemod.bench" not in loaded and "statistics" not in loaded
+
+
+def test_bench_loads_bench(tmp_path):
+    argv = ["bench", "--p", "2", "--reps", "30", "--output", str(tmp_path / "out")]
+    loaded = _loaded_after(_RUN_MODULE.format(argv=argv))
+    assert "cyclemod.bench" in loaded and "statistics" in loaded

@@ -220,6 +220,24 @@ def test_range_cap(capsys, verb):
     assert "capped" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--p", "2", "--k-end", "3"],
+        ["ecs", "--p", "2", "--k-end", "6"],
+        ["plot", "--p", "2", "--k-end", "6"],
+        ["decompose", "--p", "2", "--s", "0"],
+        ["mask", "--p", "3", "--k", "5", "--r-hex", "13"],
+    ],
+)
+@pytest.mark.parametrize("where", ["missing/out.txt", "."])
+def test_unwritable_output_exits_usage(capsys, tmp_path, argv, where):
+    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / where))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot write --output" in err
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(seq):
         raise ValueError("internal bug")

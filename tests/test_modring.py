@@ -12,6 +12,7 @@ from cyclemod.modring import (
     inverse_euclid_counted,
     make_modulus,
 )
+from cyclemod.seedgen import decompose_identity
 from oracles import search_inverse, units_of
 
 
@@ -66,6 +67,9 @@ def test_modulus_is_built_from_p_alone():
     assert m == make_modulus(5) and hash(m) == hash(make_modulus(5))
     assert repr(m) == "Modulus(p=5, M=243, phi=162)"
     assert make_modulus(5.0).M == 243
+    assert type(make_modulus(5.0).p) is int
+    assert repr(make_modulus(True)) == "Modulus(p=1, M=3, phi=2)"
+    assert type(decompose_identity(3.0, 2).p) is int
 
 
 def test_residue_construction_canonicalizes():
