@@ -219,7 +219,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     seq = _sequence(args, PLOT_RANGE_LIMIT)
-    _write_output(render_residue_svg(seq), args.output)
+    with _output(args.output) as out:
+        out.write(render_residue_svg(seq))
     return EXIT_OK
 
 

@@ -10,8 +10,10 @@ Two inversion routines are provided:
 * ``inverse_euclid`` -- iterative extended Euclid. Its loop count depends
   on the operand, which suits the tests' reference and ``bench``'s
   baseline but leaks timing.
-* ``inverse_ct`` -- Euler ladder ``a^(phi-1) mod M`` evaluated with a
-  fixed number of square/select/multiply steps that depends only on p.
+* ``inverse_ct`` -- Euler ladder ``a^(phi-1) mod M``: ``bit_width``
+  squarings plus one multiply per 1 bit of the public exponent ``phi - 1``,
+  a schedule that depends only on p. Its step count is the contract, not
+  wall-clock constant time: big-int arithmetic is slower on longer operands.
   The seed path (``seedgen.compute_d``) always uses this one.
 
 Each has a ``_counted`` form that also returns its step count; ``bench``
@@ -104,25 +106,21 @@ def inverse_euclid(a: Residue) -> Residue:
 
 
 def inverse_ct_counted(a: Residue) -> tuple[Residue, int]:
-    """Constant-step inverse plus its (operand-independent) step count.
+    """Euler-ladder inverse plus its step count, ``bit_width`` for every unit.
 
-    Computes a^(phi-1) mod M with one square and one branchless
-    multiply-or-keep per bit of a fixed ``bit_width``-wide exponent
-    window. phi - 1 < M always fits in that window, so the step count
-    never depends on the operand value.
+    a^(phi-1) mod M: one squaring per bit of phi - 1 (< M) in a ``bit_width``
+    window, and one multiply by ``a`` per 1 bit. p alone fixes the schedule.
     """
     m = a.modulus
     if a.value % 3 == 0:
         raise NotInvertible(f"{a.value} is not invertible mod {m.M}")
-    exp = m.phi - 1
+    M, x = m.M, a.value
     width = m.bit_width
     acc = 1
-    for i in range(width - 1, -1, -1):
-        acc = acc * acc % m.M
-        bit = (exp >> i) & 1
-        mult = acc * a.value % m.M
-        mask = -bit
-        acc = (mult & mask) | (acc & ~mask)
+    for bit in format(m.phi - 1, f"0{width}b"):
+        acc = acc * acc % M
+        if bit == "1":
+            acc = acc * x % M
     return Residue(acc, m), width
 
 

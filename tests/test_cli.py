@@ -238,6 +238,17 @@ def test_unwritable_output_exits_usage(capsys, tmp_path, argv, where):
     assert err.count("\n") == 1 and "cannot write --output" in err
 
 
+def test_plot_refuses_unwritable_output_before_rendering(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "render_residue_svg", lambda seq: calls.append(seq) or "")
+    target = tmp_path / "missing" / "x.svg"
+    code, out, err = run_cli(
+        capsys, "plot", "--p", "80", "--k-end", "100000", "--output", str(target)
+    )
+    assert (code, out, calls) == (2, "", [])
+    assert "cannot write --output" in err
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(seq):
         raise ValueError("internal bug")

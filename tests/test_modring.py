@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from cyclemod.errors import NotInvertible, OutOfRange
 from cyclemod.modring import (
     P_MAX,
     Modulus,
+    Residue,
     inverse_ct,
     inverse_ct_counted,
     inverse_euclid,
@@ -13,7 +16,7 @@ from cyclemod.modring import (
     make_modulus,
 )
 from cyclemod.seedgen import decompose_identity
-from oracles import search_inverse, units_of
+from oracles import search_inverse, slow_pow, units_of
 
 
 @pytest.mark.parametrize("p,M,phi", [(1, 3, 2), (2, 9, 6), (3, 27, 18), (5, 243, 162)])
@@ -151,8 +154,47 @@ def test_two_is_a_primitive_root(p):
 
 
 @settings(max_examples=200)
-@given(p=st.integers(1, 12), x=st.integers(1, 3**12))
+@given(p=st.integers(1, P_MAX), x=st.integers(1, 3**P_MAX))
 def test_ct_equals_euclid_on_random_units(p, x):
     m = make_modulus(p)
+    x %= m.M
     a = m.residue(x if x % 3 else x + 1)
-    assert inverse_ct(a) == inverse_euclid(a)
+    inv, steps = inverse_ct_counted(a)
+    assert inv == inverse_euclid(a)
+    assert a.value * inv.value % m.M == 1
+    assert steps == m.bit_width
+    # slow_pow makes phi - 1 multiplies, so it can only vouch for small rings.
+    if p <= 8:
+        assert inv.value == slow_pow(a.value, m.phi - 1, m.M)
+
+
+class _CountingInt(int):
+    """An int that counts the products it is an operand of."""
+
+    muls = 0
+
+    def __mul__(self, other):
+        self.muls += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize("p", [*range(1, 8), 80])
+def test_ct_ladder_multiplies_by_the_operand_once_per_exponent_one_bit(p):
+    # The exponent phi - 1 is public, so the ladder multiplies by the
+    # operand on its 1 bits only: the same count for every unit of the ring.
+    m = make_modulus(p)
+    if p <= 7:
+        units = sorted(units_of(p))
+    else:
+        rng = random.Random(p)
+        units = [x for x in (rng.randrange(1, m.M) for _ in range(400)) if x % 3][:200]
+    counts = set()
+    for value in units:
+        x = _CountingInt(value)
+        inverse_ct(Residue(x, m))
+        counts.add(x.muls)
+    ones = bin(m.phi - 1).count("1")
+    assert counts == {ones}
+    assert ones == {7: 6, 80: 70}.get(p, ones)
