@@ -48,10 +48,6 @@ EXIT_USAGE = 2
 EXIT_REJECTED = 3
 
 
-def _fixed(value: float) -> str:
-    return f"{value:.6f}"
-
-
 def dumps_fixed(obj, indent: int = 0) -> str:
     """JSON writer with fixed 6-decimal floats and stable key order."""
     pad = " " * indent
@@ -71,7 +67,7 @@ def dumps_fixed(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return pad + ("true" if obj else "false")
     if isinstance(obj, float):
-        return pad + _fixed(obj)
+        return pad + f"{obj:.6f}"
     if isinstance(obj, int):
         return pad + str(obj)
     if isinstance(obj, str):
@@ -128,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="emit the (k, a_k, d_k) sequence")
     _add_range_args(gen)
     gen.add_argument("--format", choices=("csv", "json"), default="csv")
-    gen.add_argument("--output", default=None)
     gen.set_defaults(func=cmd_gen)
 
     ecs = sub.add_parser("ecs", help="score a sequence and gate on the threshold")
@@ -140,18 +135,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"admission threshold (default {ecs_mod.DEFAULT_THRESHOLD:.2f}, or ${THRESHOLD_ENV_VAR})",
     )
-    ecs.add_argument("--output", default=None)
     ecs.set_defaults(func=cmd_ecs)
 
     dec = sub.add_parser("decompose", help="integer identity witness for (p, s)")
     dec.add_argument("--p", type=int, required=True)
     dec.add_argument("--s", type=int, required=True)
-    dec.add_argument("--output", default=None)
     dec.set_defaults(func=cmd_decompose)
 
     plot = sub.add_parser("plot", help="deterministic SVG residue map")
     _add_range_args(plot)
-    plot.add_argument("--output", default=None)
     plot.set_defaults(func=cmd_plot)
 
     mask = sub.add_parser("mask", help="XOR-mask d_k with an entropy token")
@@ -162,15 +154,16 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--r-hex", dest="r_hex", default=None)
     src.add_argument("--source", choices=("test", "os"), default=None)
     mask.add_argument("--seed", type=int, default=0, help="seed for --source test")
-    mask.add_argument("--output", default=None)
     mask.set_defaults(func=cmd_mask)
 
     bench = sub.add_parser("bench", help="compare inversion timing uniformity")
     _add_range_args(bench, k_end_required=False)
     bench.add_argument("--reps", type=int, default=50)
-    bench.add_argument("--output", default=None)
     bench.set_defaults(func=cmd_bench)
 
+    # --output is every verb's last option, so each --help lists it last.
+    for verb in (gen, ecs, dec, plot, mask, bench):
+        verb.add_argument("--output", default=None)
     return parser
 
 
@@ -255,9 +248,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OutOfRange, WidthMismatch) as exc:
-        print(f"cyclemod {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (CycleModError, OSError) as exc:
         print(f"cyclemod {args.command}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return EXIT_USAGE if isinstance(exc, (OutOfRange, WidthMismatch)) else EXIT_INTERNAL

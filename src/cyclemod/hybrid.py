@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Iterator, Literal
 
 from .errors import OutOfRange, SourceUnavailable, WidthMismatch
@@ -108,11 +109,8 @@ def unmask(seed: HybridSeed, r: EntropyToken) -> Residue:
         raise OutOfRange(f"only xor seeds can be unmasked, got {seed.method!r}")
     if r.width != seed.width:
         raise WidthMismatch(f"token width {r.width} != seed width {seed.width}")
-    m = make_modulus(seed.p)
-    value = seed.h ^ r.bits
-    if value >= m.M:
-        raise OutOfRange(f"unmasked value {value} is not a residue mod {m.M}")
-    return Residue(value, m)
+    # Residue refuses an XOR at or past M; an XOR of ints >= 0 is never negative.
+    return Residue(seed.h ^ r.bits, make_modulus(seed.p))
 
 
 def mask_conditioned(
@@ -145,40 +143,25 @@ def entropy_source(
     """
     if width < 1:
         raise OutOfRange(f"token width must be >= 1, got {width}")
-
     if kind == "deterministic_test":
-        return _counter_stream(width, seed)
-    if kind == "os":
-        return _os_stream(width)
-    raise OutOfRange(f"unknown entropy source kind {kind!r}")
-
-
-def _counter_stream(width: int, seed: int) -> Iterator[EntropyToken]:
-    mask = (1 << width) - 1
-    base = (seed * _MIX_SEED + _MIX_SEED) & mask
-    step = _MIX_STEP & mask  # odd, hence nonzero for every width >= 1
-    n = 0
-    while True:
-        yield EntropyToken(
-            bits=(base + n * step) & mask,
-            width=width,
-            source_id=f"test(seed={seed})[{n}]",
+        mask = (1 << width) - 1
+        base = (seed * _MIX_SEED + _MIX_SEED) & mask
+        step = _MIX_STEP & mask  # odd, hence nonzero for every width >= 1
+        return (
+            EntropyToken((base + n * step) & mask, width, f"test(seed={seed})[{n}]")
+            for n in count()
         )
-        n += 1
-
-
-def _os_stream(width: int) -> Iterator[EntropyToken]:
-    nbytes = (width + 7) // 8
-    try:
-        os.urandom(1)
-    except NotImplementedError as exc:
-        raise SourceUnavailable("platform randomness facility unavailable") from exc
-
-    def tokens() -> Iterator[EntropyToken]:
-        n = 0
-        while True:
-            raw = int.from_bytes(os.urandom(nbytes), "big") >> (8 * nbytes - width)
-            yield EntropyToken(bits=raw, width=width, source_id=f"os[{n}]")
-            n += 1
-
-    return tokens()
+    if kind == "os":
+        try:
+            os.urandom(1)
+        except NotImplementedError as exc:
+            raise SourceUnavailable("platform randomness facility unavailable") from exc
+        nbytes = (width + 7) // 8
+        return (
+            EntropyToken(
+                bits=int.from_bytes(os.urandom(nbytes), "big") >> (8 * nbytes - width),
+                width=width, source_id=f"os[{n}]",
+            )
+            for n in count()
+        )
+    raise OutOfRange(f"unknown entropy source kind {kind!r}")

@@ -41,7 +41,8 @@ class SeedSequence:
     k_end: int
 
     def __len__(self) -> int:
-        return self.k_end - self.k_start + 1
+        # A range built directly with k_end < k_start is empty, like range(5, 4).
+        return max(0, self.k_end - self.k_start + 1)
 
     def walk(self) -> Iterator[int]:
         """d_k for k = k_start..k_end as plain ints.

@@ -41,12 +41,7 @@ def render_residue_svg(seq: SeedSequence) -> str:
     k_span = max(seq.k_end - seq.k_start, 1)
     d_span = max(m.M - 1, 1)
     dx, dy = x1 - x0, y1 - y0
-
-    def sx(k: int) -> float:
-        return x0 + (k - seq.k_start) * dx / k_span
-
-    def sy(d: int) -> float:
-        return y0 + d * dy / d_span
+    x_end = x0 + (seq.k_end - seq.k_start) * dx / k_span  # left of the frame for an empty range
 
     parts = [_HEADER]
     parts.append(f'<rect x="0" y="0" width="{VIEW_W}" height="{VIEW_H}" fill="white"/>\n')
@@ -61,7 +56,7 @@ def render_residue_svg(seq: SeedSequence) -> str:
     parts.append(
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black" stroke-width="1"/>\n'
     )
-    # axis labels and extreme ticks
+    # axis labels and extreme ticks; (M-1)*dy/(M-1) is exactly dy, so d = M-1 sits at y1
     parts.append(
         f'<text x="{(x0 + x1) // 2}" y="{VIEW_H - 10}" text-anchor="middle" '
         f'font-family="monospace" font-size="12">k</text>\n'
@@ -71,20 +66,19 @@ def render_residue_svg(seq: SeedSequence) -> str:
         f'font-family="monospace" font-size="12" '
         f'transform="rotate(-90 16 {(y0 + y1) // 2})">d_k</text>\n'
     )
-    for k, anchor in ((seq.k_start, "start"), (seq.k_end, "end")):
+    for k, x, anchor in ((seq.k_start, x0, "start"), (seq.k_end, x_end, "end")):
         parts.append(
-            f'<text x="{sx(k):.2f}" y="{y0 + 16}" text-anchor="{anchor}" '
+            f'<text x="{x:.2f}" y="{y0 + 16}" text-anchor="{anchor}" '
             f'font-family="monospace" font-size="11">{k}</text>\n'
         )
-    for d in (0, m.M - 1):
+    for d, y in ((0, y0), (m.M - 1, y1)):
         parts.append(
-            f'<text x="{x0 - 6}" y="{sy(d) + 4:.2f}" text-anchor="end" '
+            f'<text x="{x0 - 6}" y="{y + 4:.2f}" text-anchor="end" '
             f'font-family="monospace" font-size="11">{d}</text>\n'
         )
     # data: the connecting polyline, then the scatter points. One pass over
-    # CHUNK-point pieces of the walk formats each point's x and y once, by
-    # sx and sy's expressions inlined, for both; the polyline text goes
-    # straight into parts, the circle text after it.
+    # CHUNK-point pieces of the walk formats each point's x and y once, for
+    # both; the polyline text goes straight into parts, the circle text after it.
     n = len(seq)
     # Past one period the d_k repeat, so each y of one period is formatted once.
     y_text = None

@@ -77,6 +77,11 @@ def test_timing_stats_invariants_enforced():
             variant="euclid", p=3, k_start=1, k_end=1, reps=0, mean_ns=1.0,
             median_ns=1.0, max_jitter_ns=0.0, cv=0.0, iter_min=3, iter_max=5,
         )
+    with pytest.raises(OutOfRange, match="iter_min"):
+        TimingStats(
+            variant="euclid", p=3, k_start=1, k_end=1, reps=10, mean_ns=1.0,
+            median_ns=1.0, max_jitter_ns=0.0, cv=0.0, iter_min=5, iter_max=3,
+        )
 
 
 def test_stats_row_shape():

@@ -249,6 +249,22 @@ def test_plot_refuses_unwritable_output_before_rendering(capsys, tmp_path, monke
     assert "cannot write --output" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--p", "2", "--k-end", str(2 * GEN_CHUNK + 1)],
+        ["ecs", "--p", "2", "--k-end", "6"],
+    ],
+)
+def test_failed_write_exits_internal(capsys, argv):
+    # The file opens, but every flush fails with ENOSPC: an OSError, not a usage error.
+    code, out, err = run_cli(capsys, *argv, "--output", "/dev/full")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"cyclemod {argv[0]}: ")
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(seq):
         raise ValueError("internal bug")
@@ -276,6 +292,16 @@ def test_mask_test_source_reproducible(capsys):
     assert code == 0
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_mask_os_source_unavailable_exits_internal(capsys, monkeypatch):
+    def no_facility(n):
+        raise NotImplementedError
+
+    monkeypatch.setattr(os, "urandom", no_facility)
+    code, out, err = run_cli(capsys, "mask", "--p", "3", "--k", "5", "--source", "os")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("cyclemod mask: ")
 
 
 def test_mask_width_mismatch_exits_usage(capsys):

@@ -20,8 +20,8 @@ from oracles import ecs_reference
 unit_fraction = st.floats(0.0, 1.0, allow_nan=False)
 
 
-def empty_sequence(p: int) -> SeedSequence:
-    return SeedSequence(modulus=make_modulus(p), k_start=1, k_end=0)
+def empty_sequence(p: int, k_start: int = 1, k_end: int = 0) -> SeedSequence:
+    return SeedSequence(modulus=make_modulus(p), k_start=k_start, k_end=k_end)
 
 
 def test_cycle_density_examples():
@@ -72,11 +72,13 @@ def test_mbi_rejects_too_few_buckets():
 
 @pytest.mark.parametrize(
     "metric",
-    [cycle_density, residue_uniformity_deviation, modular_bias_index],
+    [cycle_density, residue_uniformity_deviation, modular_bias_index, score],
 )
 def test_metrics_reject_empty_sequences(metric):
-    with pytest.raises(EmptySequence):
-        metric(empty_sequence(2))
+    # [5, 3] is inverted: built directly, it is empty, like range(5, 4).
+    for k_start, k_end in ((1, 0), (5, 3)):
+        with pytest.raises(EmptySequence):
+            metric(empty_sequence(2, k_start, k_end))
 
 
 def test_score_perfect_and_worst_components():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclemod.errors import OutOfRange, WidthMismatch
+from cyclemod.errors import OutOfRange, SourceUnavailable, WidthMismatch
 from cyclemod.hybrid import (
     EntropyToken,
     encode_residue,
@@ -72,6 +72,16 @@ def test_unmask_needs_matching_width():
     seed = mask_xor(m.residue(7), EntropyToken(bits=3, width=8))
     with pytest.raises(WidthMismatch):
         unmask(seed, EntropyToken(bits=3, width=9))
+
+
+def test_unmask_rejects_conditioned_seeds_and_non_residues():
+    m = make_modulus(2)  # M = 9 in 4 bits
+    r = EntropyToken(bits=3, width=m.bit_width)
+    with pytest.raises(OutOfRange, match="only xor seeds"):
+        unmask(mask_conditioned(m.residue(7), r), r)
+    seed = mask_xor(m.residue(7), EntropyToken(bits=0, width=4))
+    with pytest.raises(OutOfRange):  # 7 ^ 8 = 15 lies in [M, 2^4)
+        unmask(seed, EntropyToken(bits=8, width=4))
 
 
 @settings(max_examples=500)
@@ -172,6 +182,15 @@ def test_source_tokens_have_declared_width():
 def test_os_source_yields_tokens():
     tokens = list(itertools.islice(entropy_source("os", 16), 4))
     assert all(t.width == 16 and 0 <= t.bits < 2**16 for t in tokens)
+
+
+def test_os_source_unavailable_raises_at_the_call(monkeypatch):
+    def no_facility(n):
+        raise NotImplementedError
+
+    monkeypatch.setattr("os.urandom", no_facility)
+    with pytest.raises(SourceUnavailable):
+        entropy_source("os", 8)
 
 
 def test_source_rejects_unknown_kind():

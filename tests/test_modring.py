@@ -79,6 +79,9 @@ def test_residue_construction_canonicalizes():
     m = make_modulus(2)
     assert m.residue(17).value == 8
     assert m.residue(-1).value == 8
+    for value in (m.M, -1):
+        with pytest.raises(OutOfRange):
+            Residue(value, m)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from cyclemod.errors import OutOfRange
 from cyclemod.modring import inverse_ct, inverse_euclid, make_modulus
 from cyclemod.seedgen import (
     IdentityWitness,
+    SeedSequence,
     compute_a,
     compute_d,
     decompose_identity,
@@ -102,6 +103,14 @@ def test_generate_sequence_matches_pow_at_large_p_and_k(p, k_start, length):
 def test_generate_sequence_rejects_bad_bounds(k_start, k_end):
     with pytest.raises(OutOfRange):
         generate_sequence(2, k_start, k_end)
+
+
+@pytest.mark.parametrize("k_start,k_end", [(5, 4), (5, 3), (9, 1)])
+def test_directly_built_empty_and_inverted_ranges_are_empty(k_start, k_end):
+    # generate_sequence refuses these; a SeedSequence built directly holds no records.
+    seq = SeedSequence(modulus=make_modulus(5), k_start=k_start, k_end=k_end)
+    assert len(seq) == 0
+    assert list(seq) == [] and list(seq.walk()) == []
 
 
 def test_generate_sequence_caps_length_at_maxsize():
