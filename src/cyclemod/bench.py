@@ -91,10 +91,9 @@ def time_inversion(
     if (k_range[1] - k_range[0] + 1) * reps > MAX_SAMPLES:
         raise OutOfRange(f"timed samples (k range x reps) are capped at {MAX_SAMPLES}")
 
+    iter_min, iter_max = count_iterations(variant, p, k_range)
     counted = counted_inverter(variant)
     operands = _operands(p, k_range)
-
-    counts = [counted(a)[1] for a in operands]
     for _ in range(WARMUP_PASSES):
         for a in operands:
             counted(a)
@@ -118,8 +117,8 @@ def time_inversion(
         median_ns=float(statistics.median(samples_ns)),
         max_jitter_ns=float(max(samples_ns) - min(samples_ns)),
         cv=statistics.pstdev(samples_ns) / mean_ns if mean_ns > 0 else 0.0,
-        iter_min=min(counts),
-        iter_max=max(counts),
+        iter_min=iter_min,
+        iter_max=iter_max,
     )
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import asdict
 from itertools import islice, starmap
-from typing import Iterator, TextIO
+from typing import TextIO
 
 from . import ecs as ecs_mod
 from .errors import CycleModError, OutOfRange, WidthMismatch
@@ -48,30 +48,26 @@ EXIT_USAGE = 2
 EXIT_REJECTED = 3
 
 
-def dumps_fixed(obj, indent: int = 0) -> str:
+def dumps_fixed(obj) -> str:
     """JSON writer with fixed 6-decimal floats and stable key order."""
-    pad = " " * indent
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, list)):
+        brackets = "{}" if isinstance(obj, dict) else "[]"
         if not obj:
-            return pad + "{}"
-        items = ",\n".join(
-            f'{pad}  "{key}": {dumps_fixed(val, indent + 2).lstrip()}'
-            for key, val in obj.items()
-        )
-        return f"{pad}{{\n{items}\n{pad}}}"
-    if isinstance(obj, list):
-        if not obj:
-            return pad + "[]"
-        items = ",\n".join(dumps_fixed(val, indent + 2) for val in obj)
-        return f"{pad}[\n{items}\n{pad}]"
+            return brackets
+        if isinstance(obj, dict):
+            items = [f'"{key}": {dumps_fixed(val)}' for key, val in obj.items()]
+        else:
+            items = [dumps_fixed(val) for val in obj]
+        body = ",\n".join(items).replace("\n", "\n  ")
+        return f"{brackets[0]}\n  {body}\n{brackets[1]}"
     if isinstance(obj, bool):
-        return pad + ("true" if obj else "false")
+        return "true" if obj else "false"
     if isinstance(obj, float):
-        return pad + f"{obj:.6f}"
+        return f"{obj:.6f}"
     if isinstance(obj, int):
-        return pad + str(obj)
+        return str(obj)
     if isinstance(obj, str):
-        return pad + '"' + obj + '"'
+        return '"' + obj + '"'
     raise TypeError(f"unsupported JSON value: {obj!r}")
 
 
@@ -85,18 +81,14 @@ def _default_threshold() -> float:
         raise OutOfRange(f"${THRESHOLD_ENV_VAR} must be a number, got {text!r}") from None
 
 
-@contextmanager
-def _output(path: str | None) -> Iterator[TextIO]:
-    """Standard output, or the ``--output`` file opened for the block."""
+def _output(path: str | None) -> AbstractContextManager[TextIO]:
+    """Standard output, or the ``--output`` file opened at the call, for ``with``."""
     if path is None:
-        yield sys.stdout
-    else:
-        try:
-            fh = open(path, "w", encoding="utf-8", newline="\n")
-        except OSError as exc:
-            raise OutOfRange(f"cannot write --output {path}: {exc.strerror}") from None
-        with fh:
-            yield fh
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise OutOfRange(f"cannot write --output {path}: {exc.strerror}") from None
 
 
 def _write_output(text: str, path: str | None) -> None:

@@ -101,7 +101,7 @@ def score(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> EcsReport:
     visited_gap = sum(abs(c / total - 1.0 / phi) for c in counts)
     cd = distinct / phi
     rud = 0.5 * (visited_gap + (phi - distinct) / phi)
-    raw = (max(per_bucket.values()) / total - 1.0 / buckets) / (1.0 - 1.0 / buckets)
+    raw = (max(per_bucket.values()) / total - 1 / buckets) / (1 - 1 / buckets)
     mbi = min(1.0, max(0.0, raw))
     return EcsReport(
         p=seq.modulus.p,

@@ -7,12 +7,13 @@ with .2f, integers stay integers, and the element order is fixed.
 The data points are drawn in one formatting pass over chunks of CHUNK
 points taken from the sequence's d_k walk: each point's x and y text is
 formatted once and shared by the polyline and its circle, and no d_k or
-coordinate list spans the whole range.
+coordinate list spans the whole range. Past one period the d_k repeat, so
+only the first period is walked and its y text is cycled.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import cycle, islice
 
 from .seedgen import SeedSequence
 
@@ -77,24 +78,19 @@ def render_residue_svg(seq: SeedSequence) -> str:
             f'font-family="monospace" font-size="11">{d}</text>\n'
         )
     # data: the connecting polyline, then the scatter points. One pass over
-    # CHUNK-point pieces of the walk formats each point's x and y once, for
+    # CHUNK-point pieces formats each point's x and takes its y text once, for
     # both; the polyline text goes straight into parts, the circle text after it.
     n = len(seq)
-    # Past one period the d_k repeat, so each y of one period is formatted once.
-    y_text = None
+    y_texts = (f"{y0 + d * dy / d_span:.2f}" for d in seq.walk())
     if n > m.phi:
-        y_text = {d: f"{y0 + d * dy / d_span:.2f}" for d in islice(seq.walk(), m.phi)}
-    walk = seq.walk()
+        # Past one period the d_k repeat, so one period of y text is cycled.
+        y_texts = cycle(list(islice(y_texts, m.phi)))
     circles = []
     if n > 1:
         parts.append('<polyline points="')
     for start in range(0, n, CHUNK):
-        ds = islice(walk, CHUNK)
         xs = [f"{x0 + i * dx / k_span:.2f}" for i in range(start, min(start + CHUNK, n))]
-        if y_text is None:
-            ys = [f"{y0 + d * dy / d_span:.2f}" for d in ds]
-        else:
-            ys = [y_text[d] for d in ds]
+        ys = list(islice(y_texts, len(xs)))
         if n > 1:
             parts.append((" " if start else "") + " ".join([f"{x},{y}" for x, y in zip(xs, ys)]))
         circles.append("".join([

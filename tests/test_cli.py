@@ -33,6 +33,26 @@ def test_dumps_fixed_formats_floats_with_six_decimals():
     assert '"a": 0.500000' in text
     assert '"b": [' in text and "true" in text
     assert json.loads(text) == {"a": 0.5, "b": [1, True], "c": "x", "d": {}}
+    assert dumps_fixed([]) == "[]"
+    with pytest.raises(TypeError):
+        dumps_fixed(object())
+
+
+# Float-free JSON values whose strings need no escaping: json.dumps is the oracle.
+_JSON_TEXT = st.text(
+    st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters='"\\'),
+    max_size=8,
+)
+_JSON_VALUES = st.recursive(
+    st.booleans() | st.integers() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(value=_JSON_VALUES)
+def test_dumps_fixed_matches_json_dumps_without_floats(value):
+    assert dumps_fixed(value) == json.dumps(value, indent=2)
 
 
 def test_gen_csv(capsys):
@@ -390,8 +410,10 @@ def test_module_entrypoint_subprocess():
 
 
 # Argument values for the property test: in range, out of range, and
-# text that is not a number at all.
-_P = st.integers(-3, 100).map(str)
+# text that is not a number at all. Every integer flag also takes values
+# of 300 to 4,299 digits, which int() parses but a float cannot hold.
+_HUGE = st.integers(10**299, 10**4299 - 1) | st.integers(-(10**4299) + 1, -(10**299))
+_P = (st.integers(-3, 100) | _HUGE).map(str)
 _NUMBER = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "x"]),
     st.floats(-2, 2).map(str),
@@ -403,9 +425,10 @@ _NUMBER = st.one_of(
 @st.composite
 def _range_args(draw):
     # Lengths are either small or past every cap, so no example generates
-    # a large sequence; lengths <= 0 give an empty or inverted range.
-    k_start = draw(st.integers(-3, 10**12))
-    length = draw(st.integers(-2, 64) | st.integers(RANGE_LIMIT + 1, 10**12))
+    # a large sequence; lengths <= 0 give an empty or inverted range. Both
+    # ends stay below 10^4300, so str() can write them.
+    k_start = draw(st.integers(-3, 10**12) | _HUGE)
+    length = draw(st.integers(-2, 64) | st.integers(RANGE_LIMIT + 1, 10**12) | _HUGE)
     return ["--p", draw(_P), "--k-start", str(k_start), "--k-end", str(k_start + length - 1)]
 
 
@@ -416,9 +439,9 @@ def _argv(draw):
         s = draw(st.integers(-3, 10**40) | st.integers(10**4299, 10**4300 - 1))
         return [verb, "--p", draw(_P), "--s", str(s)]
     if verb == "mask":
-        argv = [verb, "--p", draw(_P), "--k", str(draw(st.integers(-3, 10**12)))]
+        argv = [verb, "--p", draw(_P), "--k", str(draw(st.integers(-3, 10**12) | _HUGE))]
         if draw(st.booleans()):
-            argv += ["--width", str(draw(st.integers(-5, 5000)))]
+            argv += ["--width", str(draw(st.integers(-5, 5000) | _HUGE))]
         source = draw(st.sampled_from(["os", "test", "hex"]))
         if source == "hex":
             return argv + ["--r-hex", draw(st.text("0123456789abcdefxz_ ", max_size=40))]
@@ -427,7 +450,7 @@ def _argv(draw):
     if verb == "gen":
         argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
     if verb == "ecs":
-        argv += ["--buckets", draw(_NUMBER), "--threshold", draw(_NUMBER)]
+        argv += ["--buckets", draw(_NUMBER | _HUGE.map(str)), "--threshold", draw(_NUMBER)]
     return argv
 
 

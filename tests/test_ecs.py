@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclemod.cli import THRESHOLD_ENV_VAR, main
 from cyclemod.ecs import (
     admit,
     cycle_density,
@@ -68,6 +69,15 @@ def test_mbi_hand_counted_skew():
 def test_mbi_rejects_too_few_buckets():
     with pytest.raises(OutOfRange):
         modular_bias_index(generate_sequence(2, 1, 6), buckets=1)
+
+
+def test_mbi_takes_bucket_counts_past_the_float_range(capsys, monkeypatch):
+    # 10^400 buckets overflow a float; 1 / buckets is int true division.
+    monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)
+    seq = generate_sequence(2, 1, 6)
+    assert score(seq, buckets=10**400).mbi == score(seq, buckets=10**19).mbi
+    assert main(["ecs", "--p", "2", "--k-end", "6", "--buckets", str(10**400)]) == 0
+    assert '"mbi": 0.166667' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Byte-stability of gen/ecs/plot outputs against committed golden files."""
+"""Byte-stability of CLI outputs against committed golden files."""
 
 import pathlib
 
@@ -15,6 +15,11 @@ CASES = [
     (["ecs", "--p", "5", "--k-end", "165"], "ecs_p5_k1-165.json"),
     (["plot", "--p", "2", "--k-end", "6"], "plot_p2_k1-6.svg"),
     (["plot", "--p", "5", "--k-end", "165"], "plot_p5_k1-165.svg"),
+    (["gen", "--p", "2", "--k-end", "6", "--format", "json"], "gen_p2_k1-6.json"),
+    (["decompose", "--p", "3", "--s", "2"], "decompose_p3_s2.json"),
+    (["decompose", "--p", "80", "--s", "987654321"], "decompose_p80_s987654321.json"),
+    (["mask", "--p", "3", "--k", "5", "--r-hex", "13"], "mask_p3_k5_r13.txt"),
+    (["mask", "--p", "3", "--k", "5", "--source", "test", "--seed", "7"], "mask_p3_k5_test7.txt"),
 ]
 
 

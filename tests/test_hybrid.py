@@ -193,6 +193,12 @@ def test_os_source_unavailable_raises_at_the_call(monkeypatch):
         entropy_source("os", 8)
 
 
+@pytest.mark.parametrize("kind", ["deterministic_test", "os"])
+def test_source_rejects_zero_width_at_the_call(kind):
+    with pytest.raises(OutOfRange):
+        entropy_source(kind, 0)
+
+
 def test_source_rejects_unknown_kind():
     with pytest.raises(OutOfRange):
         entropy_source("quantum", 8)  # type: ignore[arg-type]
