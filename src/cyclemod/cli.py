@@ -1,9 +1,13 @@
 """Command-line surface: gen, ecs, decompose, plot, mask, bench.
 
-Exit codes: 0 success (or admitted), 3 score below threshold, 2 usage
-error, 1 internal error. All outputs are deterministic for fully
-explicit inputs; JSON floats are rendered with fixed six-decimal
-formatting so golden files are stable across platforms.
+Each ``cmd_*`` checks its input and returns its exit code and its text;
+only then does ``main``, the one writer, open ``--output`` (or take
+stdout) and write the text, which ``gen`` and ``plot`` make as it is
+written. Exit codes: 0 success (or admitted), 3 score below threshold,
+2 usage error (a refused input, which leaves no file, or an ``--output``
+that cannot be opened), 1 internal error (such as a failed write). All
+outputs are deterministic for fully explicit inputs; JSON floats have
+fixed six decimals, so golden files are stable across platforms.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import sys
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import asdict
 from itertools import islice, starmap
-from typing import TextIO
+from typing import Iterable, Iterator, TextIO
 
 from . import ecs as ecs_mod
 from .errors import CycleModError, OutOfRange, WidthMismatch
@@ -34,7 +38,7 @@ PLOT_RANGE_LIMIT = 10**5
 # A token of width w costs w/8 bytes; the widest residue (p = 80) is 127 bits.
 MASK_WIDTH_LIMIT = 4096
 
-# gen writes GEN_CHUNK rows at a time as (head, row, separator, tail). A
+# gen yields GEN_CHUNK rows at a time as (head, row, separator, tail). A
 # JSON row is dumps_fixed's layout of {"k", "a_k", "d_k"} inside a list.
 GEN_CHUNK = 4096
 _GEN_FORMATS = {
@@ -89,11 +93,6 @@ def _output(path: str | None) -> AbstractContextManager[TextIO]:
         return open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OutOfRange(f"cannot write --output {path}: {exc.strerror}") from None
-
-
-def _write_output(text: str, path: str | None) -> None:
-    with _output(path) as out:
-        out.write(text)
 
 
 def _add_range_args(sub: argparse.ArgumentParser, k_end_required: bool = True) -> None:
@@ -166,50 +165,46 @@ def _sequence(args: argparse.Namespace, limit: int) -> SeedSequence:
     return generate_sequence(args.p, args.k_start, args.k_end)
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    seq = _sequence(args, RANGE_LIMIT)
-    head, row, sep, tail = _GEN_FORMATS[args.format]
+def _gen_text(seq: SeedSequence, fmt: str) -> Iterator[str]:
+    head, row, sep, tail = _GEN_FORMATS[fmt]
     rows = iter(seq)
-    with _output(args.output) as out:
-        out.write(head)
-        lead = ""
-        while chunk := sep.join(starmap(row.format, islice(rows, GEN_CHUNK))):
-            out.write(lead)
-            out.write(chunk)
-            lead = sep
-        out.write(tail)
-    return EXIT_OK
+    yield head
+    lead = ""
+    while chunk := sep.join(starmap(row.format, islice(rows, GEN_CHUNK))):
+        yield lead
+        yield chunk
+        lead = sep
+    yield tail
 
 
-def cmd_ecs(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    return EXIT_OK, _gen_text(_sequence(args, RANGE_LIMIT), args.format)
+
+
+def cmd_ecs(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     threshold = args.threshold if args.threshold is not None else _default_threshold()
-    seq = _sequence(args, RANGE_LIMIT)
-    report = ecs_mod.score(seq, buckets=args.buckets)
+    report = ecs_mod.score(_sequence(args, RANGE_LIMIT), buckets=args.buckets)
     admitted = ecs_mod.admit(report, threshold)
     payload = {**asdict(report), "admitted": admitted, "threshold": threshold}
-    _write_output(dumps_fixed(payload) + "\n", args.output)
-    return EXIT_OK if admitted else EXIT_REJECTED
+    return EXIT_OK if admitted else EXIT_REJECTED, [dumps_fixed(payload) + "\n"]
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
+def cmd_decompose(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     witness = decompose_identity(args.p, args.s)
     # A is the one decimal no input bounds: str() refuses it past the digit limit.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits and witness.A >= 10**digits:
         raise OutOfRange(f"A = 3^p(s+1) - 1 must have at most {digits} digits")
     payload = {**asdict(witness), "verified": verify_identity(witness)}
-    _write_output(dumps_fixed(payload) + "\n", args.output)
-    return EXIT_OK
+    return EXIT_OK, [dumps_fixed(payload) + "\n"]
 
 
-def cmd_plot(args: argparse.Namespace) -> int:
-    seq = _sequence(args, PLOT_RANGE_LIMIT)
-    with _output(args.output) as out:
-        out.write(render_residue_svg(seq))
-    return EXIT_OK
+def cmd_plot(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    # Lazy: the SVG is drawn as main writes it, after --output opens.
+    return EXIT_OK, map(render_residue_svg, [_sequence(args, PLOT_RANGE_LIMIT)])
 
 
-def cmd_mask(args: argparse.Namespace) -> int:
+def cmd_mask(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     m = make_modulus(args.p)
     width = args.width if args.width is not None else m.bit_width
     if width > MASK_WIDTH_LIMIT:
@@ -221,25 +216,25 @@ def cmd_mask(args: argparse.Namespace) -> int:
     else:
         token = next(entropy_source("os", width))
     seed = mask_xor(compute_d(args.k, m), token, k=args.k)
-    _write_output(seed.hex() + "\n", args.output)
-    return EXIT_OK
+    return EXIT_OK, [seed.hex() + "\n"]
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import bench as bench_mod  # only bench needs statistics
 
     m = make_modulus(args.p)
     k_end = args.k_end if args.k_end is not None else m.phi
     report = bench_mod.compare_report(args.p, (args.k_start, k_end), args.reps)
-    _write_output(dumps_fixed(report) + "\n", args.output)
-    return EXIT_OK
+    return EXIT_OK, [dumps_fixed(report) + "\n"]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        with _output(args.output) as out:
+            out.writelines(text)
+        return code
     except (CycleModError, OSError) as exc:
         print(f"cyclemod {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, (OutOfRange, WidthMismatch)) else EXIT_INTERNAL

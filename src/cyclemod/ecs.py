@@ -4,11 +4,11 @@ Three structural components, each in [0, 1]:
 
 * cycle density -- fraction of the unit group the sequence visited;
 * residue uniformity deviation -- total-variation distance between the
-  empirical d_k distribution and the uniform distribution on the
-  phi(M) units (0 at exact uniformity, 1 - 1/phi(M) for a point mass);
+  empirical d_k law and uniform on the phi(M) units, capped at 1 against
+  rounding (0 at exact uniformity, 1 - 1/phi(M) for a point mass);
 * modular bias index -- normalized excess of the fullest of B
   equal-width buckets partitioning [0, M): (max_b f_b - 1/B) / (1 - 1/B),
-  clamped to [0, 1].
+  in [0, 1] unclamped, as 1/B <= max_b f_b <= 1 and rounding is monotone.
 
 The composite score is the fixed weighted sum
 
@@ -100,9 +100,8 @@ def score(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> EcsReport:
     counts = chain(repeat(q + 1, r), repeat(q, distinct - r))
     visited_gap = sum(abs(c / total - 1.0 / phi) for c in counts)
     cd = distinct / phi
-    rud = 0.5 * (visited_gap + (phi - distinct) / phi)
-    raw = (max(per_bucket.values()) / total - 1 / buckets) / (1 - 1 / buckets)
-    mbi = min(1.0, max(0.0, raw))
+    rud = min(1.0, 0.5 * (visited_gap + (phi - distinct) / phi))
+    mbi = (max(per_bucket.values()) / total - 1 / buckets) / (1 - 1 / buckets)
     return EcsReport(
         p=seq.modulus.p,
         k_start=seq.k_start,

@@ -40,7 +40,7 @@ def render_residue_svg(seq: SeedSequence) -> str:
     x0, x1 = MARGIN_L, VIEW_W - MARGIN_R
     y0, y1 = VIEW_H - MARGIN_B, MARGIN_T
     k_span = max(seq.k_end - seq.k_start, 1)
-    d_span = max(m.M - 1, 1)
+    d_span = m.M - 1  # M >= 3 for every p
     dx, dy = x1 - x0, y1 - y0
     x_end = x0 + (seq.k_end - seq.k_start) * dx / k_span  # left of the frame for an empty range
 

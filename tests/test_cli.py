@@ -8,13 +8,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import pow_d
 
 import cyclemod
 from cyclemod import cli
-from cyclemod.cli import GEN_CHUNK, RANGE_LIMIT, THRESHOLD_ENV_VAR, dumps_fixed, main
+from cyclemod.cli import (
+    GEN_CHUNK, PLOT_RANGE_LIMIT, RANGE_LIMIT, THRESHOLD_ENV_VAR, dumps_fixed, main,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -269,6 +271,26 @@ def test_plot_refuses_unwritable_output_before_rendering(capsys, tmp_path, monke
     assert "cannot write --output" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--p", "2", "--k-start", "5", "--k-end", "4"],
+        ["ecs", "--p", "2", "--k-end", "6", "--buckets", "1"],
+        ["plot", "--p", "1", "--k-end", str(PLOT_RANGE_LIMIT + 1)],
+        ["decompose", "--p", "2", "--s", "-1"],
+        ["mask", "--p", "3", "--k", "5", "--source", "test", "--width", "4097"],
+        ["bench", "--p", "2", "--reps", "10"],
+    ],
+)
+def test_refused_input_leaves_no_output_file(capsys, tmp_path, argv):
+    # Each verb checks its input before main opens --output.
+    target = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"cyclemod {argv[0]}: ")
+    assert not target.exists()
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv",
@@ -457,6 +479,16 @@ def _argv(draw):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_argv())
+# Deep failures a random draw rarely reaches: a float-overflowing bucket
+# count, values at the 4,300-digit str() limit, and the plot cap's edge.
+@example(argv=["ecs", "--p", "2", "--k-end", "6", "--buckets", "1" + "0" * 400,
+               "--threshold", "0.5"])
+@example(argv=["decompose", "--p", "80", "--s", "9" * 4299])
+@example(argv=["mask", "--p", "3", "--k", "9" * 4299, "--width", str(10**400),
+               "--source", "test"])
+@example(argv=["gen", "--p", "80", "--format", "json",
+               "--k-start", "9" * 4299, "--k-end", "9" * 4299])
+@example(argv=["plot", "--p", "1", "--k-end", str(PLOT_RANGE_LIMIT + 1)])
 def test_cli_never_raises_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     try:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclemod.cli import THRESHOLD_ENV_VAR, main
@@ -217,9 +217,24 @@ def test_admit_rejects_bad_threshold():
         admit(report, threshold=1.5)
 
 
-def test_components_always_in_unit_interval():
-    for p, k_start, k_end in [(1, 1, 1), (2, 3, 20), (3, 5, 9), (4, 1, 54)]:
-        report = score(generate_sequence(p, k_start, k_end))
-        for value in (report.cd, report.rud, report.mbi, report.ecs):
-            assert 0.0 <= value <= 1.0
-            assert math.isfinite(value)
+# mbi is not clamped: 1/B <= max_b f_b <= 1 keeps it in [0, 1], also for a
+# bucket count past the float range (ecs_reference cannot take one). rud's
+# float sum can round past 1 for a few records of a large ring, so it is capped.
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.integers(1, 80),
+    k_start=st.integers(1, 10**12),
+    length=st.integers(1, 400),
+    buckets=st.integers(2, 64) | st.integers(2, 10**400),
+)
+@example(p=1, k_start=1, length=1, buckets=9)
+@example(p=2, k_start=3, length=18, buckets=9)
+@example(p=3, k_start=5, length=5, buckets=9)
+@example(p=4, k_start=1, length=54, buckets=9)
+@example(p=2, k_start=1, length=6, buckets=10**400)
+@example(p=37, k_start=1, length=21, buckets=2)
+def test_components_always_in_unit_interval(p, k_start, length, buckets):
+    report = score(generate_sequence(p, k_start, k_start + length - 1), buckets)
+    for value in (report.cd, report.rud, report.mbi, report.ecs):
+        assert 0.0 <= value <= 1.0
+        assert math.isfinite(value)
