@@ -19,8 +19,8 @@ _MODULE_OF = {
         "modring": "P_MAX Modulus Residue make_modulus inverse_euclid inverse_ct",
         "seedgen": "SeedSequence IdentityWitness compute_a compute_d generate_sequence orbit "
         "decompose_identity verify_identity",
-        "ecs": "EcsReport cycle_density residue_uniformity_deviation modular_bias_index score "
-        "admit weighted_score DEFAULT_BUCKETS DEFAULT_THRESHOLD",
+        "ecs": "EcsReport modular_bias_index score admit weighted_score DEFAULT_BUCKETS "
+        "DEFAULT_THRESHOLD",
         "hybrid": "EntropyToken HybridSeed mask_xor unmask mask_conditioned identity_conditioner "
         "encode_residue entropy_source token_from_hex",
         "bench": "TimingStats count_iterations time_inversion compare_report",

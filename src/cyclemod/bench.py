@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import asdict, dataclass
 from typing import Callable, Literal
 
 from .errors import OutOfRange
-from .modring import Residue, inverse_ct_counted, inverse_euclid_counted
+from .modring import Record, Residue, inverse_ct_counted, inverse_euclid_counted
 from .seedgen import generate_sequence
 
 WARMUP_PASSES = 3
@@ -38,29 +37,34 @@ def counted_inverter(variant: str) -> Callable[[Residue], tuple[Residue, int]]:
         raise OutOfRange(f"variant must be one of {sorted(_INVERTERS)}, got {variant!r}")
 
 
-@dataclass(frozen=True)
-class TimingStats:
+class TimingStats(Record):
     """Per-variant iteration counts and wall-time statistics, in bench row order."""
 
-    variant: Variant
-    p: int
-    k_start: int
-    k_end: int
-    reps: int
-    mean_ns: float
-    median_ns: float
-    max_jitter_ns: float
-    cv: float
-    iter_min: int
-    iter_max: int
+    __slots__ = ("variant", "p", "k_start", "k_end", "reps", "mean_ns", "median_ns",
+                 "max_jitter_ns", "cv", "iter_min", "iter_max")
 
-    def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise OutOfRange("samples must be >= 1")
-        if self.iter_min > self.iter_max:
+    def __init__(
+        self, variant: Variant, p: int, k_start: int, k_end: int, reps: int,
+        mean_ns: float, median_ns: float, max_jitter_ns: float, cv: float,
+        iter_min: int, iter_max: int,
+    ) -> None:
+        if iter_min > iter_max:
             raise OutOfRange("iter_min must not exceed iter_max")
-        if self.variant == "ct" and self.iter_min != self.iter_max:
+        if variant == "ct" and iter_min != iter_max:
             raise OutOfRange("ct variant must have an exact iteration count")
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k_start", k_start)
+        object.__setattr__(self, "k_end", k_end)
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "mean_ns", mean_ns)
+        object.__setattr__(self, "median_ns", median_ns)
+        object.__setattr__(self, "max_jitter_ns", max_jitter_ns)
+        object.__setattr__(self, "cv", cv)
+        object.__setattr__(self, "iter_min", iter_min)
+        object.__setattr__(self, "iter_max", iter_max)
+        if self.samples < 1:  # after the fields, so that ``samples`` is the one rule
+            raise OutOfRange("samples must be >= 1")
 
     @property
     def samples(self) -> int:
@@ -108,17 +112,11 @@ def time_inversion(
 
     mean_ns = statistics.fmean(samples_ns)
     return TimingStats(
-        variant=variant,
-        p=p,
-        k_start=k_range[0],
-        k_end=k_range[1],
-        reps=reps,
-        mean_ns=mean_ns,
-        median_ns=float(statistics.median(samples_ns)),
+        variant=variant, p=p, k_start=k_range[0], k_end=k_range[1], reps=reps,
+        mean_ns=mean_ns, median_ns=float(statistics.median(samples_ns)),
         max_jitter_ns=float(max(samples_ns) - min(samples_ns)),
         cv=statistics.pstdev(samples_ns) / mean_ns if mean_ns > 0 else 0.0,
-        iter_min=iter_min,
-        iter_max=iter_max,
+        iter_min=iter_min, iter_max=iter_max,
     )
 
 
@@ -136,7 +134,7 @@ def compare_report(p: int, k_range: tuple[int, int], reps: int) -> dict:
         "k_start": k_range[0],
         "k_end": k_range[1],
         "reps": reps,
-        "rows": [asdict(euclid), asdict(ct)],
+        "rows": [euclid._asdict(), ct._asdict()],
         "ct_iterations_constant": ct.iter_min == ct.iter_max,
         "euclid_iteration_spread": euclid.iter_max - euclid.iter_min,
         "advisory_cv_ct_not_above_euclid": ct.cv <= euclid.cv,

@@ -16,7 +16,6 @@ import argparse
 import os
 import sys
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import asdict
 from itertools import islice, starmap
 from typing import Iterable, Iterator, TextIO
 
@@ -185,7 +184,7 @@ def cmd_ecs(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     threshold = args.threshold if args.threshold is not None else _default_threshold()
     report = ecs_mod.score(_sequence(args, RANGE_LIMIT), buckets=args.buckets)
     admitted = ecs_mod.admit(report, threshold)
-    payload = {**asdict(report), "admitted": admitted, "threshold": threshold}
+    payload = {**report._asdict(), "admitted": admitted, "threshold": threshold}
     return EXIT_OK if admitted else EXIT_REJECTED, [dumps_fixed(payload) + "\n"]
 
 
@@ -195,7 +194,7 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits and witness.A >= 10**digits:
         raise OutOfRange(f"A = 3^p(s+1) - 1 must have at most {digits} digits")
-    payload = {**asdict(witness), "verified": verify_identity(witness)}
+    payload = {**witness._asdict(), "verified": verify_identity(witness)}
     return EXIT_OK, [dumps_fixed(payload) + "\n"]
 
 

@@ -24,10 +24,10 @@ O(min(L, phi)) for L records.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
 from .errors import EmptySequence, OutOfRange
+from .modring import Record
 from .seedgen import SeedSequence
 
 DEFAULT_BUCKETS = 9
@@ -38,18 +38,23 @@ WEIGHT_UNIFORMITY = 0.4
 WEIGHT_BIAS = 0.2
 
 
-@dataclass(frozen=True)
-class EcsReport:
+class EcsReport(Record):
     """Scored components and composite, fields in ``ecs`` report key order."""
 
-    p: int
-    k_start: int
-    k_end: int
-    buckets: int
-    cd: float
-    rud: float
-    mbi: float
-    ecs: float
+    __slots__ = ("p", "k_start", "k_end", "buckets", "cd", "rud", "mbi", "ecs")
+
+    def __init__(
+        self, p: int, k_start: int, k_end: int, buckets: int,
+        cd: float, rud: float, mbi: float, ecs: float,
+    ) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k_start", k_start)
+        object.__setattr__(self, "k_end", k_end)
+        object.__setattr__(self, "buckets", buckets)
+        object.__setattr__(self, "cd", cd)
+        object.__setattr__(self, "rud", rud)
+        object.__setattr__(self, "mbi", mbi)
+        object.__setattr__(self, "ecs", ecs)
 
     @property
     def k_range(self) -> tuple[int, int]:
@@ -61,20 +66,6 @@ def weighted_score(cd: float, rud: float, mbi: float) -> float:
     return WEIGHT_CD * cd + WEIGHT_UNIFORMITY * (1.0 - rud) + WEIGHT_BIAS * (1.0 - mbi)
 
 
-def cycle_density(seq: SeedSequence) -> float:
-    """|distinct d_k| / phi(M)."""
-    return score(seq).cd
-
-
-def residue_uniformity_deviation(seq: SeedSequence) -> float:
-    """Total-variation distance of the empirical d_k law from uniform.
-
-    RUD = 1/2 * sum over units x of |freq(x) - 1/phi|; unvisited units
-    contribute 1/phi each.
-    """
-    return score(seq).rud
-
-
 def modular_bias_index(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> float:
     """Normalized max-bucket excess over equal-width subranges of [0, M)."""
     return score(seq, buckets).mbi
@@ -83,8 +74,9 @@ def modular_bias_index(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> flo
 def score(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> EcsReport:
     """Assemble all components and their weighted composite from one period of d_k.
 
-    L = q*phi + r records visit the first min(L, phi) values walked, the
-    i-th of them q + (i < r) times; gaps are summed in that first-visit order.
+    L = q*phi + r records visit the first min(L, phi) values walked: the
+    first r of them q + 1 times and the rest q times, so each bucket counts
+    those two groups apart. Gaps are summed in that first-visit order.
     """
     total = len(seq)
     if total == 0:
@@ -94,24 +86,17 @@ def score(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> EcsReport:
     M, phi = seq.modulus.M, seq.modulus.phi
     distinct = min(total, phi)
     q, r = divmod(total, phi)
-    per_bucket = Counter()
-    for i, d in enumerate(islice(seq.walk(), distinct)):
-        per_bucket[d * buckets // M] += q + (i < r)
+    walked = islice(seq.walk(), distinct)
+    heavy = Counter(d * buckets // M for d in islice(walked, r))
+    light = Counter(d * buckets // M for d in walked)
+    fullest = max((q + 1) * heavy[b] + q * light[b] for b in heavy.keys() | light.keys())
     counts = chain(repeat(q + 1, r), repeat(q, distinct - r))
     visited_gap = sum(abs(c / total - 1.0 / phi) for c in counts)
     cd = distinct / phi
     rud = min(1.0, 0.5 * (visited_gap + (phi - distinct) / phi))
-    mbi = (max(per_bucket.values()) / total - 1 / buckets) / (1 - 1 / buckets)
-    return EcsReport(
-        p=seq.modulus.p,
-        k_start=seq.k_start,
-        k_end=seq.k_end,
-        buckets=buckets,
-        cd=cd,
-        rud=rud,
-        mbi=mbi,
-        ecs=weighted_score(cd, rud, mbi),
-    )
+    mbi = (fullest / total - 1 / buckets) / (1 - 1 / buckets)
+    ecs = weighted_score(cd, rud, mbi)
+    return EcsReport(seq.modulus.p, seq.k_start, seq.k_end, buckets, cd, rud, mbi, ecs)
 
 
 def admit(report: EcsReport, threshold: float = DEFAULT_THRESHOLD) -> bool:

@@ -15,12 +15,11 @@ is ever truncated.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Iterator, Literal
 
 from .errors import OutOfRange, SourceUnavailable, WidthMismatch
-from .modring import Residue, make_modulus
+from .modring import Record, Residue, make_modulus
 
 # Odd 64-bit mixing constants for the counter-based test source
 # (successive tokens always differ because the stride is odd).
@@ -34,21 +33,19 @@ def _hex_digits(width: int) -> int:
     return (width + 3) // 4
 
 
-@dataclass(frozen=True)
-class EntropyToken:
+class EntropyToken(Record):
     """A fixed-width bit string from some entropy source."""
 
-    bits: int
-    width: int
-    source_id: str = "explicit"
+    __slots__ = ("bits", "width", "source_id")
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise OutOfRange(f"token width must be >= 1, got {self.width}")
-        if not 0 <= self.bits < (1 << self.width):
-            raise WidthMismatch(
-                f"token bits do not fit in {self.width} bits: {self.bits:#x}"
-            )
+    def __init__(self, bits: int, width: int, source_id: str = "explicit") -> None:
+        if width < 1:
+            raise OutOfRange(f"token width must be >= 1, got {width}")
+        if not 0 <= bits < (1 << width):
+            raise WidthMismatch(f"token bits do not fit in {width} bits: {bits:#x}")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "source_id", source_id)
 
     def hex(self) -> str:
         return format(self.bits, f"0{_hex_digits(self.width)}x")
@@ -57,15 +54,17 @@ class EntropyToken:
         return self.bits.to_bytes((self.width + 7) // 8, "big")
 
 
-@dataclass(frozen=True)
-class HybridSeed:
+class HybridSeed(Record):
     """Masked or conditioned seed bits plus their provenance."""
 
-    h: int
-    width: int
-    k: int | None
-    p: int
-    method: Literal["xor", "conditioner"]
+    __slots__ = ("h", "width", "k", "p", "method")
+
+    def __init__(self, h: int, width: int, k: int | None, p: int, method: str) -> None:
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "method", method)
 
     def hex(self) -> str:
         return format(self.h, f"0{_hex_digits(self.width)}x")
@@ -77,7 +76,7 @@ def token_from_hex(text: str, width: int, source_id: str = "hex") -> EntropyToke
         bits = int(text, 16)
     except ValueError:
         raise OutOfRange(f"not a hex string: {text!r}") from None
-    return EntropyToken(bits=bits, width=width, source_id=source_id)
+    return EntropyToken(bits, width, source_id)
 
 
 def identity_conditioner(data: bytes) -> bytes:
@@ -95,12 +94,8 @@ def mask_xor(d: Residue, r: EntropyToken, k: int | None = None) -> HybridSeed:
     """h = bits(d) XOR r, zero-padded to the token width."""
     needed = d.modulus.bit_width
     if r.width < needed:
-        raise WidthMismatch(
-            f"token width {r.width} cannot hold a residue of {needed} bits"
-        )
-    return HybridSeed(
-        h=d.value ^ r.bits, width=r.width, k=k, p=d.modulus.p, method="xor"
-    )
+        raise WidthMismatch(f"token width {r.width} cannot hold a residue of {needed} bits")
+    return HybridSeed(d.value ^ r.bits, r.width, k, d.modulus.p, "xor")
 
 
 def unmask(seed: HybridSeed, r: EntropyToken) -> Residue:
@@ -121,13 +116,7 @@ def mask_conditioned(
 ) -> HybridSeed:
     """h = conditioner(encode(d) || r); errors from the hook propagate."""
     out = conditioner(encode_residue(d) + r.to_bytes())
-    return HybridSeed(
-        h=int.from_bytes(out, "big"),
-        width=8 * len(out),
-        k=k,
-        p=d.modulus.p,
-        method="conditioner",
-    )
+    return HybridSeed(int.from_bytes(out, "big"), 8 * len(out), k, d.modulus.p, "conditioner")
 
 
 def entropy_source(
@@ -157,11 +146,9 @@ def entropy_source(
         except NotImplementedError as exc:
             raise SourceUnavailable("platform randomness facility unavailable") from exc
         nbytes = (width + 7) // 8
+        shift = 8 * nbytes - width
         return (
-            EntropyToken(
-                bits=int.from_bytes(os.urandom(nbytes), "big") >> (8 * nbytes - width),
-                width=width, source_id=f"os[{n}]",
-            )
+            EntropyToken(int.from_bytes(os.urandom(nbytes), "big") >> shift, width, f"os[{n}]")
             for n in count()
         )
     raise OutOfRange(f"unknown entropy source kind {kind!r}")

@@ -22,30 +22,52 @@ looks those up by name to time the two against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import NotInvertible, OutOfRange
 
 P_MAX = 80
-# (M, phi) per admissible p: Modulus never raises 3 to an unchecked p.
-_RINGS = {p: (3**p, 2 * 3 ** (p - 1)) for p in range(1, P_MAX + 1)}
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Record:
+    """Frozen record whose ``__slots__`` name its fields in order: each
+    subclass's ``__init__`` validates, then sets every field once."""
+
+    __slots__ = ()
+
+    def _asdict(self) -> dict:
+        """Field name -> value in field order; nested records stay records."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Modulus(Record):
     """Ring parameterization, built from p alone: M = 3^p and phi = phi(M)."""
 
-    p: int
-    M: int = field(init=False)
-    phi: int = field(init=False)
+    __slots__ = ("p", "M", "phi")
 
-    def __post_init__(self) -> None:
-        if self.p not in _RINGS:
-            raise OutOfRange(f"p must be in [1, {P_MAX}], got {self.p}")
-        M, phi = _RINGS[self.p]
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "phi", phi)
+    def __init__(self, p: int) -> None:
+        if p not in range(1, P_MAX + 1):  # checked before 3 is raised to it
+            raise OutOfRange(f"p must be in [1, {P_MAX}], got {p}")
+        p = int(p)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "M", 3**p)
+        object.__setattr__(self, "phi", 2 * 3 ** (p - 1))
 
     def residue(self, value: int) -> "Residue":
         """Canonical residue of an arbitrary integer."""
@@ -57,23 +79,25 @@ class Modulus:
         return self.M.bit_length()
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(Record):
     """A canonical element of Z/MZ together with its ring."""
 
-    value: int
-    modulus: Modulus
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.modulus.M:
-            raise OutOfRange(
-                f"residue value {self.value} not canonical for M={self.modulus.M}"
-            )
+    def __init__(self, value: int, modulus: Modulus) -> None:
+        if not 0 <= value < modulus.M:
+            raise OutOfRange(f"residue value {value} not canonical for M={modulus.M}")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "modulus", modulus)
+
+
+# Records are immutable, so every caller of make_modulus shares one per p.
+_MODULI = {p: Modulus(p) for p in range(1, P_MAX + 1)}
 
 
 def make_modulus(p: int) -> Modulus:
-    """Build the ring parameters for exponent p (1 <= p <= P_MAX)."""
-    return Modulus(p)
+    """The ring parameters for exponent p (1 <= p <= P_MAX), built once per p."""
+    return _MODULI.get(p) or Modulus(p)
 
 
 def inverse_euclid_counted(a: Residue) -> tuple[Residue, int]:

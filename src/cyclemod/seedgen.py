@@ -21,24 +21,25 @@ power of two of the left-hand side.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import OutOfRange
-from .modring import Modulus, Residue, inverse_ct, make_modulus
+from .modring import Modulus, Record, Residue, inverse_ct, make_modulus
 
 # Orbit enumeration holds one full period in a set, at 66-99 bytes per
 # unit: phi(3^14) = 3.2M units is about 0.3 GB.
 ORBIT_P_LIMIT = 14
 
 
-@dataclass(frozen=True)
-class SeedSequence:
+class SeedSequence(Record):
     """The consecutive k range [k_start, k_end] of d_k mod 3^p."""
 
-    modulus: Modulus
-    k_start: int
-    k_end: int
+    __slots__ = ("modulus", "k_start", "k_end")
+
+    def __init__(self, modulus: Modulus, k_start: int, k_end: int) -> None:
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "k_start", k_start)
+        object.__setattr__(self, "k_end", k_end)
 
     def __len__(self) -> int:
         # A range built directly with k_end < k_start is empty, like range(5, 4).
@@ -49,16 +50,17 @@ class SeedSequence:
 
         The inverses of consecutive powers of two differ by a factor of 2^-1,
         and negation commutes with that, so d_{k+1} = d_k * 2^-1 (mod M). M is
-        odd, so 2^-1 = (M + 1) / 2 needs no inversion: a walk costs one, for
-        d_{k_start}, and every later step is one multiply and one reduction,
-        whatever d_k is.
+        odd, so that is a halving with no inversion, multiply or reduction:
+        d / 2 for an even d, (d + M) / 2 for an odd one. A walk costs one
+        inversion, for d_{k_start}. The halving branches on the low bit of
+        d_k, which is public output; the keyed ``mask`` path calls
+        ``compute_d`` and never walks.
         """
         M = self.modulus.M
-        inv2 = (M + 1) // 2
         d = compute_d(self.k_start, self.modulus).value
         for _ in range(self.k_start, self.k_end + 1):
             yield d
-            d = d * inv2 % M
+            d = (d + M) >> 1 if d & 1 else d >> 1
 
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
         """(k, a_k, d_k) rows as plain ints; a_k doubles from one k to the next."""
@@ -66,14 +68,15 @@ class SeedSequence:
         a = compute_a(self.k_start, self.modulus).value
         for k, d in enumerate(self.walk(), self.k_start):
             yield k, a, d
-            a = a * 2 % M
+            a <<= 1
+            if a >= M:
+                a -= M
 
     def d_values(self) -> list[int]:
         return list(self.walk())
 
 
-@dataclass(frozen=True)
-class IdentityWitness:
+class IdentityWitness(Record):
     """Integer-level decomposition A = 2^(k-1) * (2 * 3^p * n + d).
 
     Fields are stored as produced; ``verify_identity`` is the checker, so
@@ -82,12 +85,15 @@ class IdentityWitness:
     reduction mod 3^p equals the canonical d_k.
     """
 
-    p: int
-    s: int
-    A: int
-    k: int
-    n: int
-    d: int
+    __slots__ = ("p", "s", "A", "k", "n", "d")
+
+    def __init__(self, p: int, s: int, A: int, k: int, n: int, d: int) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
 
 
 def compute_a(k: int, m: Modulus) -> Residue:

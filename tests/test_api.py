@@ -26,10 +26,11 @@ def test_all_names_are_bound_once_and_star_import_works():
 
 
 def _loaded_after(code: str) -> list[str]:
-    """The ``cyclemod.*`` and ``statistics`` modules a fresh interpreter holds after ``code``."""
+    """The ``cyclemod.*``, ``statistics``, ``dataclasses`` and ``inspect`` modules a
+    fresh interpreter holds after ``code``."""
     report = (
         "import json, sys; print(json.dumps(sorted(n for n in sys.modules"
-        " if n.startswith('cyclemod.') or n == 'statistics')))"
+        " if n.startswith('cyclemod.') or n in ('statistics', 'dataclasses', 'inspect'))))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"],
@@ -71,9 +72,12 @@ def test_verbs_other_than_bench_load_no_bench(tmp_path, argv):
     loaded = _loaded_after(_RUN_MODULE.format(argv=argv))
     assert "cyclemod.cli" in loaded
     assert "cyclemod.bench" not in loaded and "statistics" not in loaded
+    # The records are slotted classes, so no verb pays for these imports.
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def test_bench_loads_bench(tmp_path):
     argv = ["bench", "--p", "2", "--reps", "30", "--output", str(tmp_path / "out")]
     loaded = _loaded_after(_RUN_MODULE.format(argv=argv))
     assert "cyclemod.bench" in loaded and "statistics" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded

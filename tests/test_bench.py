@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import pytest
 
 from cyclemod.bench import (
@@ -86,7 +84,7 @@ def test_timing_stats_invariants_enforced():
 
 def test_stats_row_shape():
     stats = time_inversion("euclid", 3, (1, 5), reps=30)
-    row = asdict(stats)
+    row = stats._asdict()
     assert list(row) == ROW_KEYS
     assert row["variant"] == "euclid"
     assert (row["k_start"], row["k_end"], row["reps"]) == (1, 5, 30)

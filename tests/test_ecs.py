@@ -5,14 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclemod.cli import THRESHOLD_ENV_VAR, main
-from cyclemod.ecs import (
-    admit,
-    cycle_density,
-    modular_bias_index,
-    residue_uniformity_deviation,
-    score,
-    weighted_score,
-)
+from cyclemod.ecs import admit, modular_bias_index, score, weighted_score
 from cyclemod.errors import EmptySequence, OutOfRange
 from cyclemod.modring import make_modulus
 from cyclemod.seedgen import SeedSequence, generate_sequence
@@ -26,30 +19,30 @@ def empty_sequence(p: int, k_start: int = 1, k_end: int = 0) -> SeedSequence:
 
 
 def test_cycle_density_examples():
-    assert cycle_density(generate_sequence(2, 1, 6)) == 1.0
-    assert cycle_density(generate_sequence(2, 1, 3)) == 0.5
-    assert cycle_density(generate_sequence(1, 1, 1)) == 0.5
+    assert score(generate_sequence(2, 1, 6)).cd == 1.0
+    assert score(generate_sequence(2, 1, 3)).cd == 0.5
+    assert score(generate_sequence(1, 1, 1)).cd == 0.5
 
 
 def test_cycle_density_counts_distinct_values_only():
     # two full periods still cover exactly phi distinct units
-    assert cycle_density(generate_sequence(2, 1, 12)) == 1.0
+    assert score(generate_sequence(2, 1, 12)).cd == 1.0
 
 
 def test_rud_zero_over_exactly_one_period():
-    assert residue_uniformity_deviation(generate_sequence(2, 1, 6)) == 0.0
+    assert score(generate_sequence(2, 1, 6)).rud == 0.0
 
 
 def test_rud_hand_counted_distribution():
     # p=1, k=1..3 gives d = 2,1,2: TV = (|2/3-1/2| + |1/3-1/2|) / 2
     seq = generate_sequence(1, 1, 3)
     assert seq.d_values() == [2, 1, 2]
-    assert residue_uniformity_deviation(seq) == pytest.approx(1 / 6, abs=1e-15)
+    assert score(seq).rud == pytest.approx(1 / 6, abs=1e-15)
 
 
 def test_rud_point_mass():
     seq = generate_sequence(2, 1, 1)
-    assert residue_uniformity_deviation(seq) == pytest.approx(5 / 6, abs=1e-15)
+    assert score(seq).rud == pytest.approx(5 / 6, abs=1e-15)
 
 
 def test_mbi_zero_on_full_period_with_three_buckets():
@@ -82,7 +75,7 @@ def test_mbi_takes_bucket_counts_past_the_float_range(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "metric",
-    [cycle_density, residue_uniformity_deviation, modular_bias_index, score],
+    [modular_bias_index, score],
 )
 def test_metrics_reject_empty_sequences(metric):
     # [5, 3] is inverted: built directly, it is empty, like range(5, 4).
@@ -130,7 +123,6 @@ def assert_scores_match_reference(p, k_start, k_end):
         report = score(seq, buckets)
         assert (report.cd, report.rud, report.mbi, report.ecs) == expected
         assert modular_bias_index(seq, buckets) == expected[2]
-    assert (cycle_density(seq), residue_uniformity_deviation(seq)) == expected[:2]
 
 
 @pytest.mark.parametrize("p", range(1, 6))
@@ -184,8 +176,8 @@ def test_point_mass_scores(p):
 @settings(max_examples=60)
 @given(p=st.integers(1, 5), start=st.integers(1, 50), extra=st.integers(0, 30))
 def test_cycle_density_monotone_in_range_extension(p, start, extra):
-    base = cycle_density(generate_sequence(p, start, start + 5))
-    extended = cycle_density(generate_sequence(p, start, start + 5 + extra))
+    base = score(generate_sequence(p, start, start + 5)).cd
+    extended = score(generate_sequence(p, start, start + 5 + extra)).cd
     assert extended >= base
 
 

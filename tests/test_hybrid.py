@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cyclemod.errors import OutOfRange, SourceUnavailable, WidthMismatch
 from cyclemod.hybrid import (
+    _MIX_STEP,
     EntropyToken,
     encode_residue,
     entropy_source,
@@ -171,6 +172,13 @@ def test_deterministic_source_successive_tokens_differ():
     for token in itertools.islice(stream, 50):
         assert token.bits != previous.bits
         previous = token
+    # The stride is odd, so a unit mod 2^width: no width lets token n + 1 repeat token n.
+    assert _MIX_STEP % 2 == 1
+    for seed in (0, 1, 7, 2**64 + 5):
+        for width in range(1, 257):
+            stream = entropy_source("deterministic_test", width, seed=seed)
+            bits = [token.bits for token in itertools.islice(stream, 4)]
+            assert all(a != b for a, b in zip(bits, bits[1:])), (seed, width, bits)
 
 
 def test_source_tokens_have_declared_width():

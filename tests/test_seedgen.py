@@ -163,6 +163,18 @@ def test_minimal_period_is_phi(p):
     assert d[m.phi :] == d[: m.phi]
 
 
+def test_period_certificate_two_is_a_primitive_root_for_every_p():
+    # phi = 2 * 3^(p-1) has the prime factors 2 and 3 for p >= 2, so 2 has
+    # order phi unless 2^(phi/2) or 2^(phi/3) is 1. d_k = -(2^(k-1))^-1 then
+    # repeats with period phi, including the rings orbit() cannot enumerate.
+    for p in range(2, 81):
+        m = make_modulus(p)
+        assert m.phi == 2 * 3 ** (p - 1)
+        assert pow(2, m.phi, m.M) == 1
+        assert pow(2, m.phi // 2, m.M) != 1, p
+        assert pow(2, m.phi // 3, m.M) != 1, p
+
+
 @pytest.mark.parametrize("p,expected", [(1, 2), (2, 6), (3, 18), (4, 54), (5, 162)])
 def test_orbit_cycle_lengths(p, expected):
     values, cycle_length = orbit(p)
