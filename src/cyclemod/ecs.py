@@ -1,30 +1,27 @@
 """Entropy scoring for generated residue sequences.
 
-Three structural components, each in [0, 1]:
+Three structural components over L records, each in [0, 1] and each one
+int true division, so each float is its exact value correctly rounded:
 
-* cycle density -- fraction of the unit group the sequence visited;
-* residue uniformity deviation -- total-variation distance between the
-  empirical d_k law and uniform on the phi(M) units, capped at 1 against
-  rounding (0 at exact uniformity, 1 - 1/phi(M) for a point mass);
-* modular bias index -- normalized excess of the fullest of B
-  equal-width buckets partitioning [0, M): (max_b f_b - 1/B) / (1 - 1/B),
-  in [0, 1] unclamped, as 1/B <= max_b f_b <= 1 and rounding is monotone.
+* cycle density -- fraction of the phi = phi(M) units visited, min(L, phi)/phi;
+* residue uniformity deviation -- total-variation distance from uniform on
+  the units, r * (phi - r) / (phi * L) with r = L mod phi, at most 1 as r <= L;
+* modular bias index -- normalized excess of the fullest of B equal-width
+  buckets of [0, M), holding F records: (F*B - L) / (L * (B - 1)), in [0, 1]
+  as L/B <= F <= L.
 
 The composite score is the fixed weighted sum
 
     ecs = 0.4 * cd + 0.4 * (1 - rud) + 0.2 * (1 - mbi)
 
-and a sequence is admitted when ecs >= threshold (default 0.90).
-
-The d_k walk visits every unit once per period phi(M), so ``score``
-walks at most one period of a range and holds no record: it costs
-O(min(L, phi)) for L records.
+and a sequence is admitted when ecs >= threshold (default 0.90). ``score``
+walks at most one period of d_k and holds no record: O(min(L, phi)) time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, islice, repeat
+from itertools import islice
 
 from .errors import EmptySequence, OutOfRange
 from .modring import Record
@@ -74,9 +71,10 @@ def modular_bias_index(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> flo
 def score(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> EcsReport:
     """Assemble all components and their weighted composite from one period of d_k.
 
-    L = q*phi + r records visit the first min(L, phi) values walked: the
-    first r of them q + 1 times and the rest q times, so each bucket counts
-    those two groups apart. Gaps are summed in that first-visit order.
+    L = q*phi + r records visit the first min(L, phi) values walked: the first
+    r of them q + 1 times, (phi - r)/(phi*L) above uniform, and the rest q
+    times, r/(phi*L) below; rud is half the total gap. Each bucket counts the two
+    groups apart to find F.
     """
     total = len(seq)
     if total == 0:
@@ -90,11 +88,9 @@ def score(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> EcsReport:
     heavy = Counter(d * buckets // M for d in islice(walked, r))
     light = Counter(d * buckets // M for d in walked)
     fullest = max((q + 1) * heavy[b] + q * light[b] for b in heavy.keys() | light.keys())
-    counts = chain(repeat(q + 1, r), repeat(q, distinct - r))
-    visited_gap = sum(abs(c / total - 1.0 / phi) for c in counts)
     cd = distinct / phi
-    rud = min(1.0, 0.5 * (visited_gap + (phi - distinct) / phi))
-    mbi = (fullest / total - 1 / buckets) / (1 - 1 / buckets)
+    rud = r * (phi - r) / (phi * total)
+    mbi = (fullest * buckets - total) / (total * (buckets - 1))
     ecs = weighted_score(cd, rud, mbi)
     return EcsReport(seq.modulus.p, seq.k_start, seq.k_end, buckets, cd, rud, mbi, ecs)
 

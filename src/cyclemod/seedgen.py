@@ -37,6 +37,8 @@ class SeedSequence(Record):
     __slots__ = ("modulus", "k_start", "k_end")
 
     def __init__(self, modulus: Modulus, k_start: int, k_end: int) -> None:
+        if k_start < 1:  # no d_k for k < 1, so len() and the walk would disagree
+            raise OutOfRange(f"k_start must be >= 1, got {k_start}")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "k_start", k_start)
         object.__setattr__(self, "k_end", k_end)
@@ -111,8 +113,8 @@ def compute_d(k: int, m: Modulus) -> Residue:
 
 def generate_sequence(p: int, k_start: int, k_end: int) -> SeedSequence:
     """The range k in [k_start, k_end], validated; its d_k are walked on demand."""
-    if not 1 <= k_start <= k_end:
-        raise OutOfRange(f"need 1 <= k_start <= k_end, got [{k_start}, {k_end}]")
+    if k_start > k_end:
+        raise OutOfRange(f"need k_start <= k_end, got [{k_start}, {k_end}]")
     if k_end - k_start >= sys.maxsize:  # len(seq) must fit in an index
         raise OutOfRange(f"a range holds at most {sys.maxsize} records")
     return SeedSequence(modulus=make_modulus(p), k_start=k_start, k_end=k_end)

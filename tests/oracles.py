@@ -6,6 +6,7 @@ distributions from hand-countable loops.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 
 def search_inverse(a: int, M: int) -> int | None:
@@ -39,25 +40,27 @@ def pow_d(k: int, p: int) -> int:
     return -pow(2, -(k - 1), M) % M
 
 
-def ecs_reference(p: int, k_start: int, k_end: int, buckets: int) -> tuple[float, ...]:
-    """(cd, rud, mbi, ecs) from a count of every d_k in the range.
+def ecs_reference(p: int, k_start: int, k_end: int, buckets: int) -> tuple[Fraction, ...]:
+    """Exact (cd, rud, mbi, ecs) from a count of every d_k in the range.
 
-    The d_k come from ``pow_d`` in k order, so the count lists the units in
-    first-visit order; the floats follow the original record-counting
-    formulas term for term.
+    The d_k come from ``pow_d``. rud is half the summed gap between each
+    unit's share and 1/phi, counting every unvisited unit at 1/phi; mbi
+    normalizes the fullest bucket's share against 1/B. Any bucket count works.
     """
     M, phi = 3**p, 2 * 3 ** (p - 1)
     counts = Counter(pow_d(k, p) for k in range(k_start, k_end + 1))
     total = k_end - k_start + 1
-    cd = len(counts) / phi
-    visited_gap = sum(abs(c / total - 1.0 / phi) for c in counts.values())
-    rud = 0.5 * (visited_gap + (phi - len(counts)) / phi)
+    cd = Fraction(len(counts), phi)
+    # |c/total - 1/phi| = |c*phi - total| / (total*phi), summed as integers
+    visited_gap = Fraction(sum(abs(c * phi - total) for c in counts.values()), total * phi)
+    rud = (visited_gap + Fraction(phi - len(counts), phi)) / 2
     per_bucket = Counter()
     for value, c in counts.items():
         per_bucket[value * buckets // M] += c
-    f_max = max(per_bucket.values()) / total
-    mbi = min(1.0, max(0.0, (f_max - 1.0 / buckets) / (1.0 - 1.0 / buckets)))
-    return cd, rud, mbi, 0.4 * cd + 0.4 * (1.0 - rud) + 0.2 * (1.0 - mbi)
+    f_max = Fraction(max(per_bucket.values()), total)
+    mbi = (f_max - Fraction(1, buckets)) / (1 - Fraction(1, buckets))
+    ecs = Fraction(2, 5) * cd + Fraction(2, 5) * (1 - rud) + Fraction(1, 5) * (1 - mbi)
+    return cd, rud, mbi, ecs
 
 
 def units_of(p: int) -> set[int]:

@@ -65,7 +65,7 @@ def test_mbi_rejects_too_few_buckets():
 
 
 def test_mbi_takes_bucket_counts_past_the_float_range(capsys, monkeypatch):
-    # 10^400 buckets overflow a float; 1 / buckets is int true division.
+    # 10^400 buckets overflow a float; mbi is one int true division.
     monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)
     seq = generate_sequence(2, 1, 6)
     assert score(seq, buckets=10**400).mbi == score(seq, buckets=10**19).mbi
@@ -119,10 +119,11 @@ BUCKET_CHOICES = (2, 3, 9, 10**6)
 def assert_scores_match_reference(p, k_start, k_end):
     seq = generate_sequence(p, k_start, k_end)
     for buckets in BUCKET_CHOICES:
-        expected = ecs_reference(p, k_start, k_end, buckets)
+        cd, rud, mbi, ecs = ecs_reference(p, k_start, k_end, buckets)
         report = score(seq, buckets)
-        assert (report.cd, report.rud, report.mbi, report.ecs) == expected
-        assert modular_bias_index(seq, buckets) == expected[2]
+        assert (report.cd, report.rud, report.mbi) == (float(cd), float(rud), float(mbi))
+        assert abs(report.ecs - ecs) <= 1e-15
+        assert modular_bias_index(seq, buckets) == float(mbi)
 
 
 @pytest.mark.parametrize("p", range(1, 6))
@@ -209,9 +210,8 @@ def test_admit_rejects_bad_threshold():
         admit(report, threshold=1.5)
 
 
-# mbi is not clamped: 1/B <= max_b f_b <= 1 keeps it in [0, 1], also for a
-# bucket count past the float range (ecs_reference cannot take one). rud's
-# float sum can round past 1 for a few records of a large ring, so it is capped.
+# No component is clamped: each is the correctly rounded exact value, also
+# for a bucket count past the float range and a few records of a large ring.
 @settings(max_examples=300, deadline=None)
 @given(
     p=st.integers(1, 80),
@@ -226,7 +226,31 @@ def test_admit_rejects_bad_threshold():
 @example(p=2, k_start=1, length=6, buckets=10**400)
 @example(p=37, k_start=1, length=21, buckets=2)
 def test_components_always_in_unit_interval(p, k_start, length, buckets):
-    report = score(generate_sequence(p, k_start, k_start + length - 1), buckets)
+    k_end = k_start + length - 1
+    report = score(generate_sequence(p, k_start, k_end), buckets)
     for value in (report.cd, report.rud, report.mbi, report.ecs):
         assert 0.0 <= value <= 1.0
         assert math.isfinite(value)
+    exact = ecs_reference(p, k_start, k_end, buckets)
+    assert (report.cd, report.rud, report.mbi) == tuple(map(float, exact[:3]))
+
+
+# A component whose exact value is a six-decimal half prints as its correctly
+# rounded double does: 49/400000 = 0.0001225 is stored just below the half.
+HALF_CASES = [
+    (["--k-start", "601713882579", "--k-end", "601713982578"], '"mbi": 0.000122'),
+    (["--k-start", "5", "--k-end", "804"], '"mbi": 0.012812'),
+]
+
+
+def test_mbi_is_the_correctly_rounded_exact_ratio():
+    report = score(generate_sequence(7, 601713882579, 601713982578))
+    assert report.mbi == 49 / 400000
+    assert report.mbi == float(ecs_reference(7, 601713882579, 601713982578, 9)[2])
+
+
+@pytest.mark.parametrize("flags,expected", HALF_CASES)
+def test_ecs_prints_a_six_decimal_half_by_its_double(flags, expected, capsys, monkeypatch):
+    monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)
+    main(["ecs", "--p", "7", *flags])
+    assert expected in capsys.readouterr().out

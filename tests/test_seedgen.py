@@ -105,6 +105,14 @@ def test_generate_sequence_rejects_bad_bounds(k_start, k_end):
         generate_sequence(2, k_start, k_end)
 
 
+@pytest.mark.parametrize("k_start,k_end", [(0, 5), (-2, -1)])
+def test_directly_built_range_refuses_k_below_one(k_start, k_end):
+    # d_k exists for k >= 1 only: refused at construction, so len(), iteration
+    # and score never disagree about such a range.
+    with pytest.raises(OutOfRange):
+        SeedSequence(make_modulus(2), k_start, k_end)
+
+
 @pytest.mark.parametrize("k_start,k_end", [(5, 4), (5, 3), (9, 1)])
 def test_directly_built_empty_and_inverted_ranges_are_empty(k_start, k_end):
     # generate_sequence refuses these; a SeedSequence built directly holds no records.
