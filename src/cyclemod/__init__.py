@@ -25,8 +25,7 @@ _MODULE_OF = {
         "encode_residue entropy_source token_from_hex",
         "bench": "TimingStats count_iterations time_inversion compare_report",
         "svgplot": "render_residue_svg",
-        "errors": "CycleModError OutOfRange NotInvertible EmptySequence WidthMismatch "
-        "SourceUnavailable",
+        "errors": "CycleModError OutOfRange NotInvertible WidthMismatch SourceUnavailable",
     }.items()
     for name in names.split()
 }

@@ -95,10 +95,10 @@ def time_inversion(
     if (k_range[1] - k_range[0] + 1) * reps > MAX_SAMPLES:
         raise OutOfRange(f"timed samples (k range x reps) are capped at {MAX_SAMPLES}")
 
-    iter_min, iter_max = count_iterations(variant, p, k_range)
     counted = counted_inverter(variant)
     operands = _operands(p, k_range)
-    for _ in range(WARMUP_PASSES):
+    counts = [counted(a)[1] for a in operands]  # the first warm-up pass
+    for _ in range(WARMUP_PASSES - 1):
         for a in operands:
             counted(a)
 
@@ -116,7 +116,7 @@ def time_inversion(
         mean_ns=mean_ns, median_ns=float(statistics.median(samples_ns)),
         max_jitter_ns=float(max(samples_ns) - min(samples_ns)),
         cv=statistics.pstdev(samples_ns) / mean_ns if mean_ns > 0 else 0.0,
-        iter_min=iter_min, iter_max=iter_max,
+        iter_min=min(counts), iter_max=max(counts),
     )
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import islice
 
-from .errors import EmptySequence, OutOfRange
+from .errors import OutOfRange
 from .modring import Record
 from .seedgen import SeedSequence
 
@@ -77,8 +77,6 @@ def score(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> EcsReport:
     groups apart to find F.
     """
     total = len(seq)
-    if total == 0:
-        raise EmptySequence("sequence has no records")
     if buckets < 2:
         raise OutOfRange(f"buckets must be >= 2, got {buckets}")
     M, phi = seq.modulus.M, seq.modulus.phi

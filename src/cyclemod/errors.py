@@ -13,10 +13,6 @@ class NotInvertible(CycleModError, ArithmeticError):
     """Inversion requested for a non-unit (a multiple of 3)."""
 
 
-class EmptySequence(CycleModError, ValueError):
-    """A metric was requested for a sequence with no records."""
-
-
 class WidthMismatch(CycleModError, ValueError):
     """An entropy token is too narrow to encode the residue."""
 

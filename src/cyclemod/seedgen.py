@@ -32,20 +32,26 @@ ORBIT_P_LIMIT = 14
 
 
 class SeedSequence(Record):
-    """The consecutive k range [k_start, k_end] of d_k mod 3^p."""
+    """The consecutive k range [k_start, k_end] of d_k mod 3^p: 1 to sys.maxsize records."""
 
     __slots__ = ("modulus", "k_start", "k_end")
 
     def __init__(self, modulus: Modulus, k_start: int, k_end: int) -> None:
-        if k_start < 1:  # no d_k for k < 1, so len() and the walk would disagree
+        # The package's one k range check: it refuses every range it cannot walk.
+        if not (isinstance(k_start, int) and isinstance(k_end, int)):
+            raise OutOfRange(f"k bounds must be integers, got [{k_start!r}, {k_end!r}]")
+        if k_start > k_end:
+            raise OutOfRange(f"need k_start <= k_end, got [{k_start}, {k_end}]")
+        if k_end - k_start >= sys.maxsize:  # len(seq) must fit in an index
+            raise OutOfRange(f"a range holds at most {sys.maxsize} records")
+        if k_start < 1:  # no d_k for k < 1
             raise OutOfRange(f"k_start must be >= 1, got {k_start}")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "k_start", k_start)
         object.__setattr__(self, "k_end", k_end)
 
     def __len__(self) -> int:
-        # A range built directly with k_end < k_start is empty, like range(5, 4).
-        return max(0, self.k_end - self.k_start + 1)
+        return self.k_end - self.k_start + 1
 
     def walk(self) -> Iterator[int]:
         """d_k for k = k_start..k_end as plain ints.
@@ -112,12 +118,8 @@ def compute_d(k: int, m: Modulus) -> Residue:
 
 
 def generate_sequence(p: int, k_start: int, k_end: int) -> SeedSequence:
-    """The range k in [k_start, k_end], validated; its d_k are walked on demand."""
-    if k_start > k_end:
-        raise OutOfRange(f"need k_start <= k_end, got [{k_start}, {k_end}]")
-    if k_end - k_start >= sys.maxsize:  # len(seq) must fit in an index
-        raise OutOfRange(f"a range holds at most {sys.maxsize} records")
-    return SeedSequence(modulus=make_modulus(p), k_start=k_start, k_end=k_end)
+    """The range k in [k_start, k_end] mod 3^p; its d_k are walked on demand."""
+    return SeedSequence(make_modulus(p), k_start, k_end)
 
 
 def orbit(p: int) -> tuple[set[int], int]:

@@ -42,7 +42,7 @@ def render_residue_svg(seq: SeedSequence) -> str:
     k_span = max(seq.k_end - seq.k_start, 1)
     d_span = m.M - 1  # M >= 3 for every p
     dx, dy = x1 - x0, y1 - y0
-    x_end = x0 + (seq.k_end - seq.k_start) * dx / k_span  # left of the frame for an empty range
+    x_end = x0 + (seq.k_end - seq.k_start) * dx / k_span
 
     parts = [_HEADER]
     parts.append(f'<rect x="0" y="0" width="{VIEW_W}" height="{VIEW_H}" fill="white"/>\n')

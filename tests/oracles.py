@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's own code paths: inverses come
 from exhaustive search, powers from repeated multiplication, and
-distributions from hand-countable loops.
+distributions from hand-countable loops. ``first_difference`` says where
+a long output and its reference text first differ.
 """
 
+import os
 from collections import Counter
 from fractions import Fraction
 
@@ -123,3 +125,17 @@ def svg_reference(p: int, k_start: int, d_list: list[int]) -> str:
         parts.append(f'<circle cx="{sx(k):.2f}" cy="{sy(d):.2f}" r="2" fill="#1f4e8c"/>\n')
     parts.append("</svg>\n")
     return "".join(parts)
+
+
+def first_difference(actual: str, expected: str) -> tuple[int, str, str] | None:
+    """None for equal texts, else (line, actual, expected) at their first difference.
+
+    The line is that of the first differing character, and actual and expected
+    are 40 characters of each text from it. ``assert first_difference(a, b) is
+    None`` is as exact as ``a == b``, but a failure prints this short tuple, not
+    pytest's diff of two long texts.
+    """
+    if actual == expected:
+        return None
+    i = len(os.path.commonprefix([actual, expected]))
+    return actual.count("\n", 0, i) + 1, actual[i : i + 40], expected[i : i + 40]

@@ -1,6 +1,9 @@
 import pytest
 
+from cyclemod import bench
 from cyclemod.bench import (
+    MIN_REPS,
+    WARMUP_PASSES,
     TimingStats,
     compare_report,
     count_iterations,
@@ -57,6 +60,21 @@ def test_time_inversion_bookkeeping():
     assert stats.max_jitter_ns >= 0
     assert stats.cv >= 0
     assert stats.iter_min == stats.iter_max
+
+
+@pytest.mark.parametrize("variant", ["euclid", "ct"])
+def test_time_inversion_counts_steps_in_its_first_warmup_pass(variant, monkeypatch):
+    calls = []
+    inverter = bench._INVERTERS[variant]
+
+    def counting(a):
+        calls.append(a)
+        return inverter(a)
+
+    monkeypatch.setitem(bench._INVERTERS, variant, counting)
+    stats = time_inversion(variant, 4, (1, 20), reps=MIN_REPS)
+    assert len(calls) == (WARMUP_PASSES + MIN_REPS) * 20
+    assert (stats.iter_min, stats.iter_max) == count_iterations(variant, 4, (1, 20))
 
 
 def test_time_inversion_rejects_low_reps():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from oracles import pow_d
+from oracles import first_difference, pow_d
 
 import cyclemod
 from cyclemod import cli
@@ -88,7 +88,7 @@ def test_gen_streams_whole_rows_at_chunk_edges(n, capsys, tmp_path):
                 "--format", fmt]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert out == text
+        assert first_difference(out, text) is None
         target = tmp_path / f"gen.{fmt}"
         assert main(argv + ["--output", str(target)]) == 0
         assert target.read_bytes() == out.encode()

@@ -6,16 +6,12 @@ from hypothesis import strategies as st
 
 from cyclemod.cli import THRESHOLD_ENV_VAR, main
 from cyclemod.ecs import admit, modular_bias_index, score, weighted_score
-from cyclemod.errors import EmptySequence, OutOfRange
+from cyclemod.errors import OutOfRange
 from cyclemod.modring import make_modulus
-from cyclemod.seedgen import SeedSequence, generate_sequence
+from cyclemod.seedgen import generate_sequence
 from oracles import ecs_reference
 
 unit_fraction = st.floats(0.0, 1.0, allow_nan=False)
-
-
-def empty_sequence(p: int, k_start: int = 1, k_end: int = 0) -> SeedSequence:
-    return SeedSequence(modulus=make_modulus(p), k_start=k_start, k_end=k_end)
 
 
 def test_cycle_density_examples():
@@ -71,17 +67,6 @@ def test_mbi_takes_bucket_counts_past_the_float_range(capsys, monkeypatch):
     assert score(seq, buckets=10**400).mbi == score(seq, buckets=10**19).mbi
     assert main(["ecs", "--p", "2", "--k-end", "6", "--buckets", str(10**400)]) == 0
     assert '"mbi": 0.166667' in capsys.readouterr().out
-
-
-@pytest.mark.parametrize(
-    "metric",
-    [modular_bias_index, score],
-)
-def test_metrics_reject_empty_sequences(metric):
-    # [5, 3] is inverted: built directly, it is empty, like range(5, 4).
-    for k_start, k_end in ((1, 0), (5, 3)):
-        with pytest.raises(EmptySequence):
-            metric(empty_sequence(2, k_start, k_end))
 
 
 def test_score_perfect_and_worst_components():

@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclemod.errors import OutOfRange
@@ -114,11 +114,10 @@ def test_directly_built_range_refuses_k_below_one(k_start, k_end):
 
 
 @pytest.mark.parametrize("k_start,k_end", [(5, 4), (5, 3), (9, 1)])
-def test_directly_built_empty_and_inverted_ranges_are_empty(k_start, k_end):
-    # generate_sequence refuses these; a SeedSequence built directly holds no records.
-    seq = SeedSequence(modulus=make_modulus(5), k_start=k_start, k_end=k_end)
-    assert len(seq) == 0
-    assert list(seq) == [] and list(seq.walk()) == []
+def test_directly_built_inverted_range_is_refused(k_start, k_end):
+    # Refused at construction, as by generate_sequence: no sequence is empty.
+    with pytest.raises(OutOfRange, match="need k_start <= k_end"):
+        SeedSequence(modulus=make_modulus(5), k_start=k_start, k_end=k_end)
 
 
 def test_generate_sequence_caps_length_at_maxsize():
@@ -129,6 +128,36 @@ def test_generate_sequence_caps_length_at_maxsize():
     with pytest.raises(OutOfRange):
         generate_sequence(41, 1, sys.maxsize + 1)
     assert len(generate_sequence(41, 1, sys.maxsize)) == sys.maxsize
+
+
+_K = st.integers(-(10**20), 10**20)
+_K_BOUNDS = st.one_of(
+    st.tuples(_K | st.floats(), _K | st.floats()),
+    # short spans, inverted ones included
+    _K.flatmap(lambda k: st.tuples(st.just(k), st.integers(k - 64, k + 64))),
+    # spans at and past the sys.maxsize cap
+    _K.flatmap(lambda k: st.tuples(st.just(k), st.integers(k + sys.maxsize - 2, k + 2**65))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(1, 80), bounds=_K_BOUNDS)
+@example(p=2, bounds=(1, 2**64))
+@example(p=5, bounds=(5, 3))
+@example(p=2, bounds=(1.5, 3))
+def test_every_k_range_is_refused_or_walkable(p, bounds):
+    k_start, k_end = bounds
+    try:
+        seq = SeedSequence(make_modulus(p), k_start, k_end)
+    except OutOfRange as exc:
+        with pytest.raises(OutOfRange) as again:
+            generate_sequence(p, k_start, k_end)
+        assert str(again.value) == str(exc)
+        return
+    assert len(seq) == k_end - k_start + 1 >= 1
+    assert generate_sequence(p, k_start, k_end) == seq
+    if len(seq) <= 200:
+        assert len(list(seq)) == len(list(seq.walk())) == len(seq)
 
 
 def test_generate_sequence_deterministic_across_runs():

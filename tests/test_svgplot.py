@@ -1,7 +1,7 @@
 """render_residue_svg against the point-by-point reference renderer."""
 
 import pytest
-from oracles import pow_d, svg_reference
+from oracles import first_difference, pow_d, svg_reference
 
 from cyclemod import generate_sequence, render_residue_svg
 from cyclemod.svgplot import CHUNK
@@ -23,4 +23,4 @@ def _cases():
 def test_render_matches_reference_byte_for_byte(p, n):
     seq = generate_sequence(p, K_START, K_START + n - 1)
     d_list = [pow_d(k, p) for k in range(K_START, K_START + n)]
-    assert render_residue_svg(seq) == svg_reference(p, K_START, d_list)
+    assert first_difference(render_residue_svg(seq), svg_reference(p, K_START, d_list)) is None

@@ -87,6 +87,30 @@ MUTANTS = [
         "fullest * buckets - 1",
         "mbi's excess taken over one record instead of L",
     ),
+    (
+        "src/cyclemod/seedgen.py",
+        "if k_start > k_end:",
+        "if k_start > k_end + 1:",
+        "the range check letting k_end = k_start - 1 through",
+    ),
+    (
+        "src/cyclemod/seedgen.py",
+        "if k_end - k_start >= sys.maxsize:",
+        "if k_end - k_start > sys.maxsize:",
+        "the range check letting sys.maxsize + 1 records through",
+    ),
+    (
+        "src/cyclemod/modring.py",
+        'if bit == "1":',
+        'if bit == "0":',
+        "the ladder multiplying on the 0 bits of phi - 1",
+    ),
+    (
+        "src/cyclemod/modring.py",
+        "t += m.M",
+        "t -= m.M",
+        "Euclid's sign correction subtracting M",
+    ),
 ]
 
 # Test ids as pytest prints them that fail on every tree: acceptance
@@ -112,8 +136,8 @@ def run_mutant(file: str, old: str, new: str) -> tuple[str, list[str]]:
             raise SystemExit(f"{file}: mutant text occurs {text.count(old)} times, not once")
         target.write_text(text.replace(old, new), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        # Plain asserts: pytest's diff of two unequal large outputs takes
-        # minutes, and a verdict needs only the failure. tests/test_mutants.py
+        # Plain asserts: a verdict needs only the failure, not pytest's
+        # explanation of it. tests/test_mutants.py
         # checks this table against the unmutated source, so it fails in
         # every copy and would count a kill for any mutant.
         cmd = [
