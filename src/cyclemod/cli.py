@@ -30,8 +30,8 @@ from .svgplot import render_residue_svg
 
 THRESHOLD_ENV_VAR = "CYCLEMOD_THRESHOLD"
 # Records per range verb. The verbs walk d_k and store none: at p = 80,
-# 10^6 records peak at about 17-18 MB of RSS for gen (CSV or JSON) and
-# 15 MB for ecs, as does importing cli; 10^5 plot points at about 30 MB.
+# 10^6 records peak at about 15 MB of RSS for gen (CSV or JSON) and for
+# ecs, as does importing cli; 10^5 plot points at about 30 MB.
 RANGE_LIMIT = 10**6
 PLOT_RANGE_LIMIT = 10**5
 # A token of width w costs w/8 bytes; the widest residue (p = 80) is 127 bits.
@@ -39,7 +39,9 @@ MASK_WIDTH_LIMIT = 4096
 
 # gen yields GEN_CHUNK rows at a time as (head, row, separator, tail). A
 # JSON row is dumps_fixed's layout of {"k", "a_k", "d_k"} inside a list.
-GEN_CHUNK = 4096
+# At p = 80 a piece is about 6 KB of CSV or 9 KB of JSON, near the text
+# layer's 8,192-character buffer; a larger piece only raises the peak.
+GEN_CHUNK = 64
 _GEN_FORMATS = {
     "csv": ("k,a_k,d_k\n", "{},{},{}", "\n", "\n"),
     "json": ("[\n", '  {{\n    "k": {},\n    "a_k": {},\n    "d_k": {}\n  }}', ",\n", "\n]\n"),
@@ -182,7 +184,9 @@ def cmd_gen(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 def cmd_ecs(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     threshold = args.threshold if args.threshold is not None else _default_threshold()
-    report = ecs_mod.score(_sequence(args, RANGE_LIMIT), buckets=args.buckets)
+    seq = _sequence(args, RANGE_LIMIT)
+    ecs_mod.check_threshold(threshold)  # refused before the range is scored
+    report = ecs_mod.score(seq, buckets=args.buckets)
     admitted = ecs_mod.admit(report, threshold)
     payload = {**report._asdict(), "admitted": admitted, "threshold": threshold}
     return EXIT_OK if admitted else EXIT_REJECTED, [dumps_fixed(payload) + "\n"]

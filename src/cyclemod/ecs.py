@@ -93,8 +93,13 @@ def score(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> EcsReport:
     return EcsReport(seq.modulus.p, seq.k_start, seq.k_end, buckets, cd, rud, mbi, ecs)
 
 
-def admit(report: EcsReport, threshold: float = DEFAULT_THRESHOLD) -> bool:
-    """Admission gate: score at or above the threshold passes."""
+def check_threshold(threshold: float) -> float:
+    """The threshold as given, refused outside [0, 1]."""
     if not 0.0 <= threshold <= 1.0:
         raise OutOfRange(f"threshold must be in [0, 1], got {threshold}")
-    return report.ecs >= threshold
+    return threshold
+
+
+def admit(report: EcsReport, threshold: float = DEFAULT_THRESHOLD) -> bool:
+    """Admission gate: score at or above the threshold passes."""
+    return report.ecs >= check_threshold(threshold)

@@ -47,8 +47,8 @@ class SeedSequence(Record):
         if k_start < 1:  # no d_k for k < 1
             raise OutOfRange(f"k_start must be >= 1, got {k_start}")
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "k_start", k_start)
-        object.__setattr__(self, "k_end", k_end)
+        object.__setattr__(self, "k_start", int(k_start))  # a bool bound is stored as an int
+        object.__setattr__(self, "k_end", int(k_end))
 
     def __len__(self) -> int:
         return self.k_end - self.k_start + 1

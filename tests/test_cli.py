@@ -157,6 +157,24 @@ def test_ecs_bad_env_threshold_exits_usage(capsys, monkeypatch):
     assert err.count("\n") == 1 and THRESHOLD_ENV_VAR in err
 
 
+def test_ecs_refuses_a_bad_threshold_before_scoring(capsys, monkeypatch):
+    def score(*args, **kwargs):
+        raise AssertionError("scored a range under a refused threshold")
+
+    monkeypatch.setattr(cli.ecs_mod, "score", score)
+    code, out, err = run_cli(
+        capsys, "ecs", "--p", "80", "--k-end", str(RANGE_LIMIT), "--threshold", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err == "cyclemod ecs: threshold must be in [0, 1], got 2.0\n"
+    # A bad p or range is still reported first.
+    for bad, message in [(["--p", "0", "--k-end", "6"], "p must be in [1, 80], got 0"),
+                         (["--p", "2", "--k-start", "9", "--k-end", "6"], "need k_start <= k_end")]:
+        code, _, err = run_cli(capsys, "ecs", *bad, "--threshold", "2")
+        assert code == 2
+        assert err.count("\n") == 1 and message in err
+
+
 def test_ecs_full_traversal_p5(capsys):
     code, out, _ = run_cli(capsys, "ecs", "--p", "5", "--k-end", "162")
     assert code == 0

@@ -1,17 +1,24 @@
 """Peak traced allocation of the range verbs, against the bytes they produce.
 
-A sequence is its k range and the verbs walk its d_k, so only their
-output may grow with the range. A verb that held its whole output as
-per-row or per-point objects before joining it would peak at several
-times its output; these bounds leave room for the output string itself,
-no more. A range alone, and ``ecs``, whose report does not grow with the
-range, stay within fixed budgets.
+A sequence is its k range and the verbs walk its d_k, so only the SVG
+``plot`` returns may grow with the range. A render that held its whole
+output as per-point objects before joining it would peak at several
+times its output; its bound leaves room for the output string itself,
+no more. ``gen`` writes its text in small pieces, and a range alone and
+``ecs``, whose report does not grow with the range, stay within fixed
+budgets. The last checks read the peak the benchmark reads: the peak
+resident set of a ``gen`` child process.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import cyclemod
 from cyclemod import generate_sequence, render_residue_svg
 from cyclemod.cli import main
 
@@ -34,14 +41,21 @@ def test_render_peak_below_two_and_a_half_outputs():
     assert peak < 2.5 * len(svg)
 
 
+def gen_argv(fmt, n, target):
+    """gen of n rows at p = 80 from k = 10^12 into the file target."""
+    return ["gen", "--p", "80", "--k-start", str(10**12), "--k-end", str(10**12 + n - 1),
+            "--format", fmt, "--output", str(target)]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_gen_to_file_peak_below_bytes_written(fmt, tmp_path):
+    # gen writes a few KB at a time: 10^5 rows (about 6 to 9 MB) peak in a
+    # fixed budget once a first call has paid for the parser's one-time costs.
     target = tmp_path / f"gen.{fmt}"
-    argv = ["gen", "--p", "80", "--k-start", str(10**12), "--k-end", str(10**12 + 99_999),
-            "--format", fmt, "--output", str(target)]
-    code, peak = traced_peak(lambda: main(argv))
+    assert main(gen_argv(fmt, 1, target)) == 0
+    code, peak = traced_peak(lambda: main(gen_argv(fmt, 100_000, target)))
     assert code == 0
-    assert peak < target.stat().st_size
+    assert peak < 128 * 1024 < target.stat().st_size
 
 
 def test_generate_sequence_allocates_nothing_per_record():
@@ -57,3 +71,41 @@ def test_ecs_peak_below_a_megabyte(tmp_path):
     code, peak = traced_peak(lambda: main(argv))
     assert code == 3  # 10^5 of about 10^38 units is far below the threshold
     assert peak < 1024 * 1024
+
+
+# As the benchmark's child reads it: VmHWM in kB, at exit, after the verb.
+_PEAK_CHILD = """\
+import sys
+from cyclemod.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as f:
+    print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+def child_peak_mb(argv):
+    """Peak resident set in MB (10^6 bytes) of a child process running the CLI."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cyclemod.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout) * 1024 / 1e6
+
+
+def _has_vmhwm():
+    try:
+        with open("/proc/self/status") as f:
+            return any(line.startswith("VmHWM:") for line in f)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM in /proc/self/status")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gen_child_peaks_at_its_import_floor(fmt, tmp_path):
+    # 20,000 rows at p = 80 write about 1.2 MB of CSV or 1.7 MB of JSON; a
+    # child holding a large piece of them peaks 1.5 MB or more above one row.
+    target = tmp_path / f"gen.{fmt}"
+    floor = child_peak_mb(gen_argv(fmt, 1, target))
+    peak = child_peak_mb(gen_argv(fmt, 20_000, target))
+    assert peak - floor < 0.5

@@ -145,6 +145,7 @@ _K_BOUNDS = st.one_of(
 @example(p=2, bounds=(1, 2**64))
 @example(p=5, bounds=(5, 3))
 @example(p=2, bounds=(1.5, 3))
+@example(p=5, bounds=(True, 3))
 def test_every_k_range_is_refused_or_walkable(p, bounds):
     k_start, k_end = bounds
     try:
@@ -155,6 +156,7 @@ def test_every_k_range_is_refused_or_walkable(p, bounds):
         assert str(again.value) == str(exc)
         return
     assert len(seq) == k_end - k_start + 1 >= 1
+    assert type(seq.k_start) is type(seq.k_end) is int
     assert generate_sequence(p, k_start, k_end) == seq
     if len(seq) <= 200:
         assert len(list(seq)) == len(list(seq.walk())) == len(seq)

@@ -111,6 +111,12 @@ MUTANTS = [
         "t -= m.M",
         "Euclid's sign correction subtracting M",
     ),
+    (
+        "src/cyclemod/cli.py",
+        "islice(rows, GEN_CHUNK)",
+        "islice(rows, 64 * GEN_CHUNK)",
+        "gen writing pieces 64 times as large",
+    ),
 ]
 
 # Test ids as pytest prints them that fail on every tree: acceptance
