@@ -52,17 +52,8 @@ class TimingStats(Record):
             raise OutOfRange("iter_min must not exceed iter_max")
         if variant == "ct" and iter_min != iter_max:
             raise OutOfRange("ct variant must have an exact iteration count")
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k_start", k_start)
-        object.__setattr__(self, "k_end", k_end)
-        object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "mean_ns", mean_ns)
-        object.__setattr__(self, "median_ns", median_ns)
-        object.__setattr__(self, "max_jitter_ns", max_jitter_ns)
-        object.__setattr__(self, "cv", cv)
-        object.__setattr__(self, "iter_min", iter_min)
-        object.__setattr__(self, "iter_max", iter_max)
+        self._bind(variant, p, k_start, k_end, reps, mean_ns, median_ns, max_jitter_ns, cv,
+                   iter_min, iter_max)
         if self.samples < 1:  # after the fields, so that ``samples`` is the one rule
             raise OutOfRange("samples must be >= 1")
 

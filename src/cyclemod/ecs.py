@@ -40,19 +40,6 @@ class EcsReport(Record):
 
     __slots__ = ("p", "k_start", "k_end", "buckets", "cd", "rud", "mbi", "ecs")
 
-    def __init__(
-        self, p: int, k_start: int, k_end: int, buckets: int,
-        cd: float, rud: float, mbi: float, ecs: float,
-    ) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k_start", k_start)
-        object.__setattr__(self, "k_end", k_end)
-        object.__setattr__(self, "buckets", buckets)
-        object.__setattr__(self, "cd", cd)
-        object.__setattr__(self, "rud", rud)
-        object.__setattr__(self, "mbi", mbi)
-        object.__setattr__(self, "ecs", ecs)
-
     @property
     def k_range(self) -> tuple[int, int]:
         return self.k_start, self.k_end

@@ -41,11 +41,11 @@ class EntropyToken(Record):
     def __init__(self, bits: int, width: int, source_id: str = "explicit") -> None:
         if width < 1:
             raise OutOfRange(f"token width must be >= 1, got {width}")
+        if not isinstance(bits, int):
+            raise OutOfRange(f"token bits must be an integer, got {bits!r}")
         if not 0 <= bits < (1 << width):
             raise WidthMismatch(f"token bits do not fit in {width} bits: {bits:#x}")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "source_id", source_id)
+        self._bind(bits, width, source_id)
 
     def hex(self) -> str:
         return format(self.bits, f"0{_hex_digits(self.width)}x")
@@ -58,13 +58,6 @@ class HybridSeed(Record):
     """Masked or conditioned seed bits plus their provenance."""
 
     __slots__ = ("h", "width", "k", "p", "method")
-
-    def __init__(self, h: int, width: int, k: int | None, p: int, method: str) -> None:
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "method", method)
 
     def hex(self) -> str:
         return format(self.h, f"0{_hex_digits(self.width)}x")

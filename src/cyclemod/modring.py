@@ -28,10 +28,31 @@ P_MAX = 80
 
 
 class Record:
-    """Frozen record whose ``__slots__`` name its fields in order: each
-    subclass's ``__init__`` validates, then sets every field once."""
+    """Frozen record whose ``__slots__`` name its fields in order. Each subclass
+    gets ``_bind(self, *fields)``, generated from them, as its ``__init__`` or
+    to call once its own ``__init__`` has checked the inputs; ``copy`` and
+    ``pickle`` rebuild a record through ``_bind`` without checking again."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = cls.__slots__
+        name = "_bind" if "__init__" in cls.__dict__ else "__init__"
+        lines = "".join(f"  set_field(self, {field!r}, {field})\n" for field in fields)
+        namespace: dict = {}
+        exec(f"def make(set_field):\n def {name}(self, {', '.join(fields)}):\n{lines}"
+             f" return {name}", {}, namespace)
+        cls._bind = bind = namespace["make"](object.__setattr__)
+        bind.__qualname__ = f"{cls.__qualname__}.{name}"
+        if name == "__init__":
+            cls.__init__ = bind
+
+    def __reduce__(self) -> tuple:
+        return object.__new__, (type(self),), tuple(self._asdict().values())
+
+    def __setstate__(self, state: tuple) -> None:
+        self._bind(*state)
 
     def _asdict(self) -> dict:
         """Field name -> value in field order; nested records stay records."""
@@ -65,9 +86,7 @@ class Modulus(Record):
         if p not in range(1, P_MAX + 1):  # checked before 3 is raised to it
             raise OutOfRange(f"p must be in [1, {P_MAX}], got {p}")
         p = int(p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "M", 3**p)
-        object.__setattr__(self, "phi", 2 * 3 ** (p - 1))
+        self._bind(p, 3**p, 2 * 3 ** (p - 1))
 
     def residue(self, value: int) -> "Residue":
         """Canonical residue of an arbitrary integer."""
@@ -85,10 +104,9 @@ class Residue(Record):
     __slots__ = ("value", "modulus")
 
     def __init__(self, value: int, modulus: Modulus) -> None:
-        if not 0 <= value < modulus.M:
+        if not (isinstance(value, int) and 0 <= value < modulus.M):
             raise OutOfRange(f"residue value {value} not canonical for M={modulus.M}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "modulus", modulus)
+        self._bind(value, modulus)
 
 
 # Records are immutable, so every caller of make_modulus shares one per p.

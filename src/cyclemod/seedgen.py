@@ -46,9 +46,7 @@ class SeedSequence(Record):
             raise OutOfRange(f"a range holds at most {sys.maxsize} records")
         if k_start < 1:  # no d_k for k < 1
             raise OutOfRange(f"k_start must be >= 1, got {k_start}")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "k_start", int(k_start))  # a bool bound is stored as an int
-        object.__setattr__(self, "k_end", int(k_end))
+        self._bind(modulus, int(k_start), int(k_end))  # a bool bound is stored as an int
 
     def __len__(self) -> int:
         return self.k_end - self.k_start + 1
@@ -94,14 +92,6 @@ class IdentityWitness(Record):
     """
 
     __slots__ = ("p", "s", "A", "k", "n", "d")
-
-    def __init__(self, p: int, s: int, A: int, k: int, n: int, d: int) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
 
 
 def compute_a(k: int, m: Modulus) -> Residue:

@@ -58,6 +58,8 @@ def test_token_validates_its_own_width():
         EntropyToken(bits=32, width=5)
     with pytest.raises(OutOfRange):
         EntropyToken(bits=0, width=0)
+    with pytest.raises(OutOfRange):
+        EntropyToken(bits=1.0, width=4)
 
 
 def test_output_width_follows_the_token():

@@ -79,9 +79,11 @@ def test_residue_construction_canonicalizes():
     m = make_modulus(2)
     assert m.residue(17).value == 8
     assert m.residue(-1).value == 8
-    for value in (m.M, -1):
+    for value in (m.M, -1, 2.5, 3.0):
         with pytest.raises(OutOfRange):
             Residue(value, m)
+    with pytest.raises(OutOfRange):  # 2.5 % 9 is a float, not a residue
+        m.residue(2.5)
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,19 @@
 """The eight records keep the contract of a frozen dataclass.
 
-Each is a slotted class on one frozen-record base: equal only to a record
-of its own class with equal fields, hashable, a dataclass-style repr,
-refusing assignment and deletion, built by position or keyword, and
-``_asdict()`` in field order, which is the key order ``cli`` writes.
+Each is a slotted class on one frozen-record base, whose binder, generated
+from ``__slots__``, is the record's ``__init__`` or is called by the
+``__init__`` that checks its inputs. A record is equal only to a record of
+its own class with equal fields, hashable, has a dataclass-style repr,
+refuses assignment and deletion, is built by position or keyword with a
+``TypeError`` naming its class for a wrong argument, survives ``copy``,
+``deepcopy`` and ``pickle``, and has ``_asdict()`` in field order, which
+is the key order ``cli`` writes.
 """
 
+import copy
 import json
 import pathlib
+import pickle
 
 import pytest
 
@@ -108,17 +114,30 @@ def test_fields_refuse_assignment_and_deletion(cls, kwargs, derived, text):
 
 @pytest.mark.parametrize("cls,kwargs,derived,text", RECORDS, ids=IDS)
 def test_missing_or_unknown_field_is_a_type_error(cls, kwargs, derived, text):
-    with pytest.raises(TypeError):
-        cls(**kwargs, unknown=1)
+    def refused(*args, **kw):
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) "):
+            cls(*args, **kw)
+
+    refused(**kwargs, unknown=1)
+    refused(*kwargs.values(), None)  # one positional argument too many
+    first = next(iter(kwargs))
+    refused(*kwargs.values(), **{first: kwargs[first]})  # by position and by keyword
     for name in kwargs:
         if cls is EntropyToken and name == "source_id":
             assert cls(**{k: v for k, v in kwargs.items() if k != name}).source_id == "explicit"
             continue
-        with pytest.raises(TypeError):
-            cls(**{k: v for k, v in kwargs.items() if k != name})
+        refused(**{k: v for k, v in kwargs.items() if k != name})
     for name in derived:  # p alone fixes a Modulus's M and phi
-        with pytest.raises(TypeError):
-            cls(**kwargs, **{name: derived[name]})
+        refused(**kwargs, **{name: derived[name]})
+
+
+@pytest.mark.parametrize("cls,kwargs,derived,text", RECORDS, ids=IDS)
+def test_copy_deepcopy_and_pickle_rebuild_an_equal_record(cls, kwargs, derived, text):
+    record = cls(**kwargs)
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    pickled = [pickle.loads(pickle.dumps(record, protocol)) for protocol in protocols]
+    for twin in (copy.copy(record), copy.deepcopy(record), *pickled):
+        assert type(twin) is cls and twin == record and repr(twin) == text
 
 
 def test_asdict_keys_are_the_cli_json_key_order():

@@ -112,6 +112,12 @@ MUTANTS = [
         "Euclid's sign correction subtracting M",
     ),
     (
+        "src/cyclemod/modring.py",
+        "for field in fields)",
+        "for field in fields[:-1])",
+        "the generated record binder not setting its last field",
+    ),
+    (
         "src/cyclemod/cli.py",
         "islice(rows, GEN_CHUNK)",
         "islice(rows, 64 * GEN_CHUNK)",
