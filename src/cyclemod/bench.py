@@ -16,7 +16,7 @@ import time
 from typing import Callable, Literal
 
 from .errors import OutOfRange
-from .modring import Record, Residue, inverse_ct_counted, inverse_euclid_counted
+from .modring import Modulus, Record, inverse_ct_counted, inverse_euclid_counted
 from .seedgen import generate_sequence
 
 WARMUP_PASSES = 3
@@ -29,8 +29,8 @@ Variant = Literal["euclid", "ct"]
 _INVERTERS = {"euclid": inverse_euclid_counted, "ct": inverse_ct_counted}
 
 
-def counted_inverter(variant: str) -> Callable[[Residue], tuple[Residue, int]]:
-    """The counted inverter named by ``variant``: ``a -> (a^-1, steps)``."""
+def counted_inverter(variant: str) -> Callable[[int, Modulus], tuple[int, int]]:
+    """The counted int kernel named by ``variant``: ``(a, m) -> (a^-1 mod M, steps)``."""
     try:
         return _INVERTERS[variant]
     except KeyError:
@@ -63,9 +63,10 @@ class TimingStats(Record):
         return (self.k_end - self.k_start + 1) * self.reps
 
 
-def _operands(p: int, k_range: tuple[int, int]) -> list[Residue]:
+def _operands(p: int, k_range: tuple[int, int]) -> tuple[Modulus, list[int]]:
+    """The ring and the a_k of the range as plain ints, so no timed call builds a record."""
     seq = generate_sequence(p, *k_range)
-    return [Residue(a, seq.modulus) for _, a, _ in seq]
+    return seq.modulus, [a for _, a, _ in seq]
 
 
 def count_iterations(
@@ -73,32 +74,33 @@ def count_iterations(
 ) -> tuple[int, int]:
     """Exact min/max inner-loop step counts over the operand range."""
     counted = counted_inverter(variant)
-    counts = [counted(a)[1] for a in _operands(p, k_range)]
+    m, operands = _operands(p, k_range)
+    counts = [counted(a, m)[1] for a in operands]
     return min(counts), max(counts)
 
 
 def time_inversion(
     variant: Variant, p: int, k_range: tuple[int, int], reps: int
 ) -> TimingStats:
-    """Wall-clock statistics over all (k, rep) pairs, warm-up excluded."""
+    """Wall-clock statistics of the int kernel over all (k, rep) pairs, warm-up excluded."""
     if reps < MIN_REPS:
         raise OutOfRange(f"reps must be >= {MIN_REPS}, got {reps}")
     if (k_range[1] - k_range[0] + 1) * reps > MAX_SAMPLES:
         raise OutOfRange(f"timed samples (k range x reps) are capped at {MAX_SAMPLES}")
 
     counted = counted_inverter(variant)
-    operands = _operands(p, k_range)
-    counts = [counted(a)[1] for a in operands]  # the first warm-up pass
+    m, operands = _operands(p, k_range)
+    counts = [counted(a, m)[1] for a in operands]  # the first warm-up pass
     for _ in range(WARMUP_PASSES - 1):
         for a in operands:
-            counted(a)
+            counted(a, m)
 
     samples_ns: list[int] = []
     clock = time.perf_counter_ns
     for _ in range(reps):
         for a in operands:
             t0 = clock()
-            counted(a)
+            counted(a, m)
             samples_ns.append(clock() - t0)
 
     mean_ns = statistics.fmean(samples_ns)

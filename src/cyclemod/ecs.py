@@ -64,8 +64,8 @@ def score(seq: SeedSequence, buckets: int = DEFAULT_BUCKETS) -> EcsReport:
     groups apart to find F.
     """
     total = len(seq)
-    if buckets < 2:
-        raise OutOfRange(f"buckets must be >= 2, got {buckets}")
+    if not isinstance(buckets, int) or buckets < 2:
+        raise OutOfRange(f"buckets must be an integer >= 2, got {buckets!r}")
     M, phi = seq.modulus.M, seq.modulus.phi
     distinct = min(total, phi)
     q, r = divmod(total, phi)

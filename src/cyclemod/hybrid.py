@@ -39,8 +39,8 @@ class EntropyToken(Record):
     __slots__ = ("bits", "width", "source_id")
 
     def __init__(self, bits: int, width: int, source_id: str = "explicit") -> None:
-        if width < 1:
-            raise OutOfRange(f"token width must be >= 1, got {width}")
+        if not isinstance(width, int) or width < 1:
+            raise OutOfRange(f"token width must be an integer >= 1, got {width!r}")
         if not isinstance(bits, int):
             raise OutOfRange(f"token bits must be an integer, got {bits!r}")
         if not 0 <= bits < (1 << width):
@@ -123,8 +123,7 @@ def entropy_source(
     successive tokens always differ. ``os`` draws from the platform
     randomness facility.
     """
-    if width < 1:
-        raise OutOfRange(f"token width must be >= 1, got {width}")
+    EntropyToken(0, width)  # the token's width rule, applied at the call
     if kind == "deterministic_test":
         mask = (1 << width) - 1
         base = (seed * _MIX_SEED + _MIX_SEED) & mask

@@ -16,8 +16,9 @@ Two inversion routines are provided:
   wall-clock constant time: big-int arithmetic is slower on longer operands.
   The seed path (``seedgen.compute_d``) always uses this one.
 
-Each has a ``_counted`` form that also returns its step count; ``bench``
-looks those up by name to time the two against each other.
+Each has a ``_counted`` form, an int kernel ``(x, m) -> (inverse, steps)``
+that ``bench`` looks up by name to time the two inversions alone; the public
+forms build the one ``Residue`` their caller gets.
 """
 
 from __future__ import annotations
@@ -118,16 +119,15 @@ def make_modulus(p: int) -> Modulus:
     return _MODULI.get(p) or Modulus(p)
 
 
-def inverse_euclid_counted(a: Residue) -> tuple[Residue, int]:
-    """Extended-Euclid inverse plus the number of reduction steps taken.
+def inverse_euclid_counted(x: int, m: Modulus) -> tuple[int, int]:
+    """Extended-Euclid inverse of the canonical x mod M plus the reduction steps taken.
 
     The loop is the classical two-register form: it stops when the
     remainder register hits zero, so the step count varies with the
     operand. The final ``t < 0`` correction restores canonicality.
     """
-    m = a.modulus
     t, new_t = 0, 1
-    r, new_r = m.M, a.value
+    r, new_r = m.M, x
     steps = 0
     while new_r != 0:
         quotient = r // new_r
@@ -135,38 +135,34 @@ def inverse_euclid_counted(a: Residue) -> tuple[Residue, int]:
         r, new_r = new_r, r - quotient * new_r
         steps += 1
     if r > 1:
-        raise NotInvertible(f"{a.value} is not invertible mod {m.M}")
+        raise NotInvertible(f"{x} is not invertible mod {m.M}")
     if t < 0:
         t += m.M
-    return Residue(t, m), steps
+    return t, steps
 
 
 def inverse_euclid(a: Residue) -> Residue:
     """Multiplicative inverse via extended Euclid (variable time)."""
-    inv, _ = inverse_euclid_counted(a)
-    return inv
+    return Residue(inverse_euclid_counted(a.value, a.modulus)[0], a.modulus)
 
 
-def inverse_ct_counted(a: Residue) -> tuple[Residue, int]:
-    """Euler-ladder inverse plus its step count, ``bit_width`` for every unit.
+def inverse_ct_counted(x: int, m: Modulus) -> tuple[int, int]:
+    """Euler-ladder inverse of the canonical x mod M plus its step count, ``bit_width``.
 
-    a^(phi-1) mod M: one squaring per bit of phi - 1 (< M) in a ``bit_width``
-    window, and one multiply by ``a`` per 1 bit. p alone fixes the schedule.
+    x^(phi-1) mod M: one squaring per bit of phi - 1 (< M) in a ``bit_width``
+    window, and one multiply by x per 1 bit. p alone fixes the schedule.
     """
-    m = a.modulus
-    if a.value % 3 == 0:
-        raise NotInvertible(f"{a.value} is not invertible mod {m.M}")
-    M, x = m.M, a.value
-    width = m.bit_width
+    if x % 3 == 0:
+        raise NotInvertible(f"{x} is not invertible mod {m.M}")
+    M, width = m.M, m.bit_width
     acc = 1
     for bit in format(m.phi - 1, f"0{width}b"):
         acc = acc * acc % M
         if bit == "1":
             acc = acc * x % M
-    return Residue(acc, m), width
+    return acc, width
 
 
 def inverse_ct(a: Residue) -> Residue:
     """Multiplicative inverse with a step count depending only on p."""
-    inv, _ = inverse_ct_counted(a)
-    return inv
+    return Residue(inverse_ct_counted(a.value, a.modulus)[0], a.modulus)

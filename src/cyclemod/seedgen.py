@@ -24,7 +24,7 @@ import sys
 from typing import Iterator
 
 from .errors import OutOfRange
-from .modring import Modulus, Record, Residue, inverse_ct, make_modulus
+from .modring import Modulus, Record, Residue, inverse_ct_counted, make_modulus
 
 # Orbit enumeration holds one full period in a set, at 66-99 bytes per
 # unit: phi(3^14) = 3.2M units is about 0.3 GB.
@@ -96,15 +96,15 @@ class IdentityWitness(Record):
 
 def compute_a(k: int, m: Modulus) -> Residue:
     """a_k = 2^(k-1) mod M."""
-    if k < 1:
-        raise OutOfRange(f"k must be >= 1, got {k}")
+    if not isinstance(k, int) or k < 1:
+        raise OutOfRange(f"k must be an integer >= 1, got {k!r}")
     return Residue(pow(2, k - 1, m.M), m)
 
 
 def compute_d(k: int, m: Modulus) -> Residue:
     """d_k = -(a_k)^-1 mod M by the constant-step inverter; a_k is a unit."""
     # A unit's inverse lies in [1, M), so M minus it is already canonical.
-    return Residue(m.M - inverse_ct(compute_a(k, m)).value, m)
+    return Residue(m.M - inverse_ct_counted(compute_a(k, m).value, m)[0], m)
 
 
 def generate_sequence(p: int, k_start: int, k_end: int) -> SeedSequence:
@@ -128,8 +128,8 @@ def decompose_identity(p: int, s: int) -> IdentityWitness:
     """
     m = make_modulus(p)
     M = m.M
-    if s < 0:
-        raise OutOfRange(f"s must be >= 0, got {s}")
+    if not isinstance(s, int) or s < 0:
+        raise OutOfRange(f"s must be an integer >= 0, got {s!r}")
     A = M * (s + 1) - 1
     # v2(A): A >= 2 here, so (A & -A) isolates the lowest set bit.
     v2 = (A & -A).bit_length() - 1

@@ -10,7 +10,7 @@ from cyclemod.bench import (
     time_inversion,
 )
 from cyclemod.errors import OutOfRange
-from cyclemod.modring import make_modulus
+from cyclemod.modring import Residue, make_modulus
 
 ROW_KEYS = [
     "variant", "p", "k_start", "k_end", "reps",
@@ -67,14 +67,30 @@ def test_time_inversion_counts_steps_in_its_first_warmup_pass(variant, monkeypat
     calls = []
     inverter = bench._INVERTERS[variant]
 
-    def counting(a):
+    def counting(a, m):
         calls.append(a)
-        return inverter(a)
+        return inverter(a, m)
 
     monkeypatch.setitem(bench._INVERTERS, variant, counting)
     stats = time_inversion(variant, 4, (1, 20), reps=MIN_REPS)
     assert len(calls) == (WARMUP_PASSES + MIN_REPS) * 20
     assert (stats.iter_min, stats.iter_max) == count_iterations(variant, 4, (1, 20))
+
+
+@pytest.mark.parametrize("variant", ["euclid", "ct"])
+def test_time_inversion_builds_the_same_few_residues_whatever_reps(variant, monkeypatch):
+    # The timed calls run the int kernels: records are built only while
+    # walking the operands, never per call.
+    built = []
+    init = Residue.__init__
+    monkeypatch.setattr(
+        Residue, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    counts = []
+    for reps in (MIN_REPS, 2 * MIN_REPS):
+        built.clear()
+        time_inversion(variant, 7, (1, 50), reps)
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 3
 
 
 def test_time_inversion_rejects_low_reps():

@@ -60,6 +60,12 @@ def test_mbi_rejects_too_few_buckets():
         modular_bias_index(generate_sequence(2, 1, 6), buckets=1)
 
 
+@pytest.mark.parametrize("metric", [score, modular_bias_index])
+def test_metrics_reject_a_non_integer_bucket_count(metric):
+    with pytest.raises(OutOfRange):
+        metric(generate_sequence(5, 1, 20), buckets=2.5)
+
+
 def test_mbi_takes_bucket_counts_past_the_float_range(capsys, monkeypatch):
     # 10^400 buckets overflow a float; mbi is one int true division.
     monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)

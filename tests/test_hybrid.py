@@ -60,6 +60,10 @@ def test_token_validates_its_own_width():
         EntropyToken(bits=0, width=0)
     with pytest.raises(OutOfRange):
         EntropyToken(bits=1.0, width=4)
+    with pytest.raises(OutOfRange):
+        EntropyToken(bits=5, width=4.0)
+    with pytest.raises(OutOfRange):
+        token_from_hex("ab", 8.0)
 
 
 def test_output_width_follows_the_token():
@@ -207,6 +211,12 @@ def test_os_source_unavailable_raises_at_the_call(monkeypatch):
 def test_source_rejects_zero_width_at_the_call(kind):
     with pytest.raises(OutOfRange):
         entropy_source(kind, 0)
+
+
+@pytest.mark.parametrize("kind", ["deterministic_test", "os"])
+def test_source_rejects_a_non_integer_width_at_the_call(kind):
+    with pytest.raises(OutOfRange):
+        entropy_source(kind, 4.0)
 
 
 def test_source_rejects_unknown_kind():

@@ -136,13 +136,13 @@ def test_euclid_inverse_times_operand_is_one(p):
 @pytest.mark.parametrize("p", range(1, 8))
 def test_ct_ladder_step_count_is_operand_independent(p):
     m = make_modulus(p)
-    counts = {inverse_ct_counted(m.residue(a))[1] for a in units_of(p)}
+    counts = {inverse_ct_counted(a, m)[1] for a in units_of(p)}
     assert counts == {m.bit_width}
 
 
 def test_euclid_step_count_varies_with_operand():
     m = make_modulus(5)
-    counts = {inverse_euclid_counted(m.residue(a))[1] for a in units_of(5)}
+    counts = {inverse_euclid_counted(a, m)[1] for a in units_of(5)}
     assert len(counts) > 1
 
 
@@ -164,13 +164,13 @@ def test_ct_equals_euclid_on_random_units(p, x):
     m = make_modulus(p)
     x %= m.M
     a = m.residue(x if x % 3 else x + 1)
-    inv, steps = inverse_ct_counted(a)
-    assert inv == inverse_euclid(a)
-    assert a.value * inv.value % m.M == 1
+    inv, steps = inverse_ct_counted(a.value, m)
+    assert m.residue(inv) == inverse_ct(a) == inverse_euclid(a)
+    assert a.value * inv % m.M == 1
     assert steps == m.bit_width
     # slow_pow makes phi - 1 multiplies, so it can only vouch for small rings.
     if p <= 8:
-        assert inv.value == slow_pow(a.value, m.phi - 1, m.M)
+        assert inv == slow_pow(a.value, m.phi - 1, m.M)
 
 
 class _CountingInt(int):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclemod.errors import OutOfRange
-from cyclemod.modring import inverse_ct, inverse_euclid, make_modulus
+from cyclemod.modring import Residue, inverse_ct, inverse_euclid, make_modulus
 from cyclemod.seedgen import (
     IdentityWitness,
     SeedSequence,
@@ -38,6 +38,23 @@ def test_compute_a_examples():
 def test_compute_a_rejects_k_zero():
     with pytest.raises(OutOfRange):
         compute_a(0, make_modulus(2))
+
+
+@pytest.mark.parametrize("build", [compute_a, compute_d])
+def test_k_must_be_an_integer(build):
+    with pytest.raises(OutOfRange):
+        build(2.5, make_modulus(5))
+
+
+def test_compute_d_builds_at_most_two_residues(monkeypatch):
+    # a_k and the d_k returned; the inversion between them runs on ints.
+    built = []
+    init = Residue.__init__
+    monkeypatch.setattr(
+        Residue, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    d = compute_d(10**12, make_modulus(80))
+    assert len(built) <= 2
+    assert d.value == pow_d(10**12, 80)
 
 
 @pytest.mark.parametrize(
@@ -267,6 +284,8 @@ def test_decompose_identity_rejects_bad_args():
         decompose_identity(81, 0)
     with pytest.raises(OutOfRange):
         decompose_identity(2, -1)
+    with pytest.raises(OutOfRange):
+        decompose_identity(5, 2.5)
 
 
 def test_verify_identity_rejects_wrong_k():

@@ -123,6 +123,12 @@ MUTANTS = [
         "islice(rows, 64 * GEN_CHUNK)",
         "gen writing pieces 64 times as large",
     ),
+    (
+        "src/cyclemod/bench.py",
+        "counted(a, m)\n            samples_ns",
+        "counted(a, m), m.residue(a)\n            samples_ns",
+        "each timed call building a Residue again",
+    ),
 ]
 
 # Test ids as pytest prints them that fail on every tree: acceptance
