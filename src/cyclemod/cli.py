@@ -31,7 +31,7 @@ from .svgplot import render_residue_svg
 THRESHOLD_ENV_VAR = "CYCLEMOD_THRESHOLD"
 # Records per range verb. The verbs walk d_k and store none: at p = 80,
 # 10^6 records peak at about 15 MB of RSS for gen (CSV or JSON) and for
-# ecs, as does importing cli; 10^5 plot points at about 30 MB.
+# ecs, as does importing cli; 10^5 plot points at that plus one SVG, 22.5 MB.
 RANGE_LIMIT = 10**6
 PLOT_RANGE_LIMIT = 10**5
 # A token of width w costs w/8 bytes; the widest residue (p = 80) is 127 bits.
@@ -236,7 +236,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, text = args.func(args)
         with _output(args.output) as out:
-            out.writelines(text)
+            # The text layer encodes a write in one piece, so 64 KiB slices keep a piece held once.
+            out.writelines(t[i:i + 65536] for t in text for i in range(0, len(t), 65536))
         return code
     except (CycleModError, OSError) as exc:
         print(f"cyclemod {args.command}: {exc}", file=sys.stderr)

@@ -5,15 +5,22 @@ inputs so it can be pinned by golden tests. Coordinates are formatted
 with .2f, integers stay integers, and the element order is fixed.
 
 The data points are drawn in one formatting pass over chunks of CHUNK
-points taken from the sequence's d_k walk: each point's x and y text is
-formatted once and shared by the polyline and its circle, and no d_k or
-coordinate list spans the whole range. Past one period the d_k repeat, so
-only the first period is walked and its y text is cycled.
+points taken from the sequence's d_k walk: one % formats a chunk's
+polyline text "x,y x,y ...", and no d_k or coordinate list spans the
+whole range. Past one period the d_k repeat, so only the first period is
+walked and its y text is cycled. The circles are then made from each
+chunk's span of the polyline text by two str.replace calls, so every
+coordinate is formatted once.
+
+The SVG grows as one local str. CPython resizes such a str in place when
+the local holds its only reference, so the render peaks near one SVG, not
+two; the bytes do not depend on that behaviour, only the peak does.
 """
 
 from __future__ import annotations
 
-from itertools import cycle, islice
+from itertools import chain, cycle, islice, repeat
+from operator import add, truediv
 
 from .seedgen import SeedSequence
 
@@ -31,6 +38,7 @@ _HEADER = (
     f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {VIEW_W} {VIEW_H}" '
     f'width="{VIEW_W}" height="{VIEW_H}">\n'
 )
+_CIRCLE_START, _CIRCLE_END = '<circle cx="', '" r="2" fill="#1f4e8c"/>\n'
 
 
 def render_residue_svg(seq: SeedSequence) -> str:
@@ -44,60 +52,69 @@ def render_residue_svg(seq: SeedSequence) -> str:
     dx, dy = x1 - x0, y1 - y0
     x_end = x0 + (seq.k_end - seq.k_start) * dx / k_span
 
-    parts = [_HEADER]
-    parts.append(f'<rect x="0" y="0" width="{VIEW_W}" height="{VIEW_H}" fill="white"/>\n')
-    parts.append(
+    svg = _HEADER + f'<rect x="0" y="0" width="{VIEW_W}" height="{VIEW_H}" fill="white"/>\n'
+    svg += (
         f'<text x="{VIEW_W // 2}" y="22" text-anchor="middle" '
         f'font-family="monospace" font-size="16">d_k mod 3^{m.p}</text>\n'
     )
     # axes
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black" stroke-width="1"/>\n'
-    )
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black" stroke-width="1"/>\n'
-    )
+    svg += f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black" stroke-width="1"/>\n'
+    svg += f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black" stroke-width="1"/>\n'
     # axis labels and extreme ticks; (M-1)*dy/(M-1) is exactly dy, so d = M-1 sits at y1
-    parts.append(
+    svg += (
         f'<text x="{(x0 + x1) // 2}" y="{VIEW_H - 10}" text-anchor="middle" '
         f'font-family="monospace" font-size="12">k</text>\n'
     )
-    parts.append(
+    svg += (
         f'<text x="16" y="{(y0 + y1) // 2}" text-anchor="middle" '
         f'font-family="monospace" font-size="12" '
         f'transform="rotate(-90 16 {(y0 + y1) // 2})">d_k</text>\n'
     )
     for k, x, anchor in ((seq.k_start, x0, "start"), (seq.k_end, x_end, "end")):
-        parts.append(
+        svg += (
             f'<text x="{x:.2f}" y="{y0 + 16}" text-anchor="{anchor}" '
             f'font-family="monospace" font-size="11">{k}</text>\n'
         )
     for d, y in ((0, y0), (m.M - 1, y1)):
-        parts.append(
+        svg += (
             f'<text x="{x0 - 6}" y="{y + 4:.2f}" text-anchor="end" '
             f'font-family="monospace" font-size="11">{d}</text>\n'
         )
-    # data: the connecting polyline, then the scatter points. One pass over
-    # CHUNK-point pieces formats each point's x and takes its y text once, for
-    # both; the polyline text goes straight into parts, the circle text after it.
+    # data: the connecting polyline, then the scatter points. Each CHUNK of
+    # points is formatted by one % as its "x,y x,y ..." text, which goes into
+    # the polyline; the circles are then made from that text, span by span.
     n = len(seq)
     y_texts = (f"{y0 + d * dy / d_span:.2f}" for d in seq.walk())
     if n > m.phi:
         # Past one period the d_k repeat, so one period of y text is cycled.
         y_texts = cycle(list(islice(y_texts, m.phi)))
-    circles = []
-    if n > 1:
-        parts.append('<polyline points="')
+    if n == 1:  # a single point draws no polyline
+        return svg + _circles(f"{x0:.2f},{next(y_texts)}") + "</svg>\n"
+    svg += '<polyline points="'
+    spans = []
     for start in range(0, n, CHUNK):
-        xs = [f"{x0 + i * dx / k_span:.2f}" for i in range(start, min(start + CHUNK, n))]
-        ys = list(islice(y_texts, len(xs)))
-        if n > 1:
-            parts.append((" " if start else "") + " ".join([f"{x},{y}" for x, y in zip(xs, ys)]))
-        circles.append("".join([
-            f'<circle cx="{x}" cy="{y}" r="2" fill="#1f4e8c"/>\n' for x, y in zip(xs, ys)
-        ]))
-    if n > 1:
-        parts.append('" fill="none" stroke="#888888" stroke-width="0.5"/>\n')
-    parts += circles
-    parts.append("</svg>\n")
-    return "".join(parts)
+        c = min(CHUNK, n - start)
+        # x0 + i * dx / k_span for i in start .. start + c - 1, as C-level maps
+        xs = map(add, repeat(x0, c), map(truediv, range(start * dx, (start + c) * dx, dx),
+                                         repeat(k_span, c)))
+        points = " ".join(repeat("%.2f,%s", c)) % tuple(chain.from_iterable(
+            zip(xs, islice(y_texts, c))))
+        if start:
+            svg += " "
+        spans.append(slice(len(svg), len(svg) + len(points)))
+        svg += points
+    svg += '" fill="none" stroke="#888888" stroke-width="0.5"/>\n'
+    for span in spans:
+        svg += _circles(svg[span])
+    svg += "</svg>\n"
+    return svg
+
+
+def _circles(points: str) -> str:
+    """One circle per point of a polyline's "x,y x,y ..." text.
+
+    Coordinate texts are always digits and one dot, so the only spaces and
+    commas are the separators.
+    """
+    circles = points.replace(" ", _CIRCLE_END + _CIRCLE_START).replace(",", '" cy="')
+    return _CIRCLE_START + circles + _CIRCLE_END

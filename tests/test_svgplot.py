@@ -24,3 +24,12 @@ def test_render_matches_reference_byte_for_byte(p, n):
     seq = generate_sequence(p, K_START, K_START + n - 1)
     d_list = [pow_d(k, p) for k in range(K_START, K_START + n)]
     assert first_difference(render_residue_svg(seq), svg_reference(p, K_START, d_list)) is None
+
+
+def test_render_matches_reference_at_the_benchmark_shape():
+    # audit-p7's plot: 10^5 points from k near 10^12, so 25 chunks that cycle
+    # one period of y text.
+    k_start, n = 10**12, 100_000
+    seq = generate_sequence(7, k_start, k_start + n - 1)
+    d_list = [pow_d(k, 7) for k in range(k_start, k_start + n)]
+    assert first_difference(render_residue_svg(seq), svg_reference(7, k_start, d_list)) is None

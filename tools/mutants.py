@@ -59,9 +59,15 @@ MUTANTS = [
     ),
     (
         "src/cyclemod/svgplot.py",
-        '(" " if start else "")',
-        '""',
+        'if start:\n            svg += " "\n',
+        'if start:\n            svg += ""\n',
         "the polyline's separator between chunks dropped",
+    ),
+    (
+        "src/cyclemod/svgplot.py",
+        '    svg += "</svg>\\n"\n    return svg\n',
+        '    return svg + "</svg>\\n"\n',
+        "the render returning a second copy of its SVG",
     ),
     (
         "src/cyclemod/hybrid.py",
@@ -128,6 +134,12 @@ MUTANTS = [
         "counted(a, m)\n            samples_ns",
         "counted(a, m), m.residue(a)\n            samples_ns",
         "each timed call building a Residue again",
+    ),
+    (
+        "src/cyclemod/cli.py",
+        "t[i:i + 65536] for t in text for i in range(0, len(t), 65536)",
+        "t for t in text",
+        "main writing each text piece unsliced",
     ),
 ]
 
