@@ -2,9 +2,10 @@
 """Compare the timing profiles of the two inversion routines.
 
 Exact step counts are the portable evidence: the extended-Euclid loop
-length depends on the operand, while the ladder executes a fixed number
-of steps per ring. Wall-clock numbers are shown too, but on a
-multitasking host they mostly measure scheduler noise.
+length depends on the operand, while the ct variant's square-and-multiply
+ladder (the builtin pow, on one public exponent per ring) runs the same
+number of exponent bits for every unit. Wall-clock numbers are shown
+too, but on a multitasking host they mostly measure scheduler noise.
 """
 
 from cyclemod import compare_report, count_iterations, make_modulus

@@ -4,7 +4,7 @@ This is the one module that chooses an inverter by name: the seed path
 always uses ``inverse_ct``, and ``bench`` times it against
 ``inverse_euclid``. Exact algorithmic step counts are the portable
 signal: the Euclid variant's loop count varies with the operand while
-the ladder variant performs the same number of steps for every unit at
+the ct variant performs the same number of steps for every unit at
 fixed p. Wall-clock statistics are also collected, but they depend on
 the host and are reported as advisory only.
 """
@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import statistics
 import time
+from itertools import accumulate
 from typing import Callable, Literal
 
 from .errors import OutOfRange
 from .modring import Modulus, Record, inverse_ct_counted, inverse_euclid_counted
-from .seedgen import generate_sequence
+from .seedgen import compute_a, generate_sequence
 
 WARMUP_PASSES = 3
 MIN_REPS = 30
@@ -64,9 +65,10 @@ class TimingStats(Record):
 
 
 def _operands(p: int, k_range: tuple[int, int]) -> tuple[Modulus, list[int]]:
-    """The ring and the a_k of the range as plain ints, so no timed call builds a record."""
+    """The ring and the a_k as plain ints (no timed call builds a record), doubled, not walked."""
     seq = generate_sequence(p, *k_range)
-    return seq.modulus, [a for _, a, _ in seq]
+    m, first = seq.modulus, compute_a(seq.k_start, seq.modulus).value
+    return m, list(accumulate(range(len(seq) - 1), lambda a, _: a * 2 % m.M, initial=first))
 
 
 def count_iterations(

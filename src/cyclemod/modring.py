@@ -10,11 +10,11 @@ Two inversion routines are provided:
 * ``inverse_euclid`` -- iterative extended Euclid. Its loop count depends
   on the operand, which suits the tests' reference and ``bench``'s
   baseline but leaks timing.
-* ``inverse_ct`` -- Euler ladder ``a^(phi-1) mod M``: ``bit_width``
-  squarings plus one multiply per 1 bit of the public exponent ``phi - 1``,
-  a schedule that depends only on p. Its step count is the contract, not
-  wall-clock constant time: big-int arithmetic is slower on longer operands.
-  The seed path (``seedgen.compute_d``) always uses this one.
+* ``inverse_ct`` -- Euler power ``a^e mod M`` for one public e = -1 (mod phi)
+  of ``bit_width`` bits, run by the builtin ``pow`` as a square-and-multiply
+  loop over the bits of e, so p alone fixes the schedule. Its step count is the
+  contract, not wall-clock constant time: big-int arithmetic is slower on
+  longer operands. The seed path (``seedgen.compute_d``) always uses this one.
 
 Each has a ``_counted`` form, an int kernel ``(x, m) -> (inverse, steps)``
 that ``bench`` looks up by name to time the two inversions alone; the public
@@ -147,20 +147,15 @@ def inverse_euclid(a: Residue) -> Residue:
 
 
 def inverse_ct_counted(x: int, m: Modulus) -> tuple[int, int]:
-    """Euler-ladder inverse of the canonical x mod M plus its step count, ``bit_width``.
+    """Euler inverse x^e of the canonical x mod M plus its step count, ``bit_width``.
 
-    x^(phi-1) mod M: one squaring per bit of phi - 1 (< M) in a ``bit_width``
-    window, and one multiply by x per 1 bit. p alone fixes the schedule.
+    A unit has x^phi = 1, so any e = -1 (mod phi) inverts. phi - 1, plus phi
+    when shorter, has exactly ``bit_width`` bits (2*phi - 1 = 2915 at p=7).
     """
     if x % 3 == 0:
         raise NotInvertible(f"{x} is not invertible mod {m.M}")
-    M, width = m.M, m.bit_width
-    acc = 1
-    for bit in format(m.phi - 1, f"0{width}b"):
-        acc = acc * acc % M
-        if bit == "1":
-            acc = acc * x % M
-    return acc, width
+    e = m.phi - 1 if (m.phi - 1).bit_length() == m.bit_width else 2 * m.phi - 1
+    return pow(x, e, m.M), m.bit_width
 
 
 def inverse_ct(a: Residue) -> Residue:

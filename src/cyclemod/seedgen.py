@@ -103,8 +103,10 @@ def compute_a(k: int, m: Modulus) -> Residue:
 
 def compute_d(k: int, m: Modulus) -> Residue:
     """d_k = -(a_k)^-1 mod M by the constant-step inverter; a_k is a unit."""
+    if not isinstance(k, int) or k < 1:  # compute_a's check; a_k stays an int here
+        raise OutOfRange(f"k must be an integer >= 1, got {k!r}")
     # A unit's inverse lies in [1, M), so M minus it is already canonical.
-    return Residue(m.M - inverse_ct_counted(compute_a(k, m).value, m)[0], m)
+    return Residue(m.M - inverse_ct_counted(pow(2, k - 1, m.M), m)[0], m)
 
 
 def generate_sequence(p: int, k_start: int, k_end: int) -> SeedSequence:

@@ -11,6 +11,7 @@ from cyclemod.bench import (
 )
 from cyclemod.errors import OutOfRange
 from cyclemod.modring import Residue, make_modulus
+from cyclemod.seedgen import SeedSequence
 
 ROW_KEYS = [
     "variant", "p", "k_start", "k_end", "reps",
@@ -21,6 +22,17 @@ ROW_KEYS = [
 def test_ct_counts_constant_over_full_period_p5():
     lo, hi = count_iterations("ct", 5, (1, 162))
     assert lo == hi == make_modulus(5).bit_width
+
+
+@pytest.mark.parametrize("p,k_range", [(1, (1, 5)), (5, (160, 170)), (80, (10**12, 10**12 + 300))])
+def test_operands_are_the_powers_of_two_with_no_d_walked(p, k_range, monkeypatch):
+    def walk(self):
+        raise AssertionError("the operands need no d_k")
+
+    monkeypatch.setattr(SeedSequence, "walk", walk)
+    m, operands = bench._operands(p, k_range)
+    assert m == make_modulus(p)
+    assert operands == [pow(2, k - 1, m.M) for k in range(k_range[0], k_range[1] + 1)]
 
 
 def test_euclid_counts_spread_over_full_period_p5():

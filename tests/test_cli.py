@@ -17,6 +17,8 @@ from cyclemod import cli
 from cyclemod.cli import (
     GEN_CHUNK, PLOT_RANGE_LIMIT, RANGE_LIMIT, THRESHOLD_ENV_VAR, dumps_fixed, main,
 )
+from cyclemod.seedgen import generate_sequence
+from cyclemod.svgplot import render_residue_svg
 
 
 @pytest.fixture(autouse=True)
@@ -237,6 +239,16 @@ def test_plot_writes_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8").endswith("</svg>\n")
 
 
+def test_plot_written_through_main_equals_the_render(capsys, tmp_path):
+    # 138,023 bytes: main writes them in 64 KiB slices, and no byte may fall between two.
+    target = tmp_path / "p7.svg"
+    code, out, _ = run_cli(capsys, "plot", "--p", "7", "--k-end", "2000", "--output", str(target))
+    expected = render_residue_svg(generate_sequence(7, 1, 2000)).encode()
+    assert (code, out) == (0, "")
+    assert len(expected) == 138_023
+    assert target.read_bytes() == expected
+
+
 def test_plot_range_cap(capsys, tmp_path):
     code, _, err = run_cli(capsys, "plot", "--p", "2", "--k-end", "200001")
     assert code == 2
@@ -384,6 +396,15 @@ def test_mask_width_cap(capsys):
     assert code == 2
     assert out == ""
     assert "capped" in err
+
+
+def test_mask_admits_the_width_cap(capsys):
+    code, out, err = run_cli(
+        capsys, "mask", "--p", "3", "--k", "5", "--source", "test", "--width", "4096"
+    )
+    assert (code, err) == (0, "")
+    assert len(out) == 1024 + 1 and out.endswith("\n")
+    int(out, 16)
 
 
 def test_bench_report(capsys):

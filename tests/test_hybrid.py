@@ -198,6 +198,14 @@ def test_os_source_yields_tokens():
     assert all(t.width == 16 and 0 <= t.bits < 2**16 for t in tokens)
 
 
+@pytest.mark.parametrize("width", [5, 11, 127])
+def test_os_source_drops_the_spare_bits_of_its_last_byte(width):
+    # Widths that are not a multiple of 8 draw whole bytes and shift the spare bits out.
+    for token in itertools.islice(entropy_source("os", width), 64):
+        assert token.width == width
+        assert 0 <= token.bits < 2**width
+
+
 def test_os_source_unavailable_raises_at_the_call(monkeypatch):
     def no_facility(n):
         raise NotImplementedError

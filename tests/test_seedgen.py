@@ -57,6 +57,22 @@ def test_compute_d_builds_at_most_two_residues(monkeypatch):
     assert d.value == pow_d(10**12, 80)
 
 
+def test_compute_d_builds_one_residue_and_checks_k_as_compute_a_does(monkeypatch):
+    m = make_modulus(80)
+    for k in (0, -1, 2.5, "3"):
+        with pytest.raises(OutOfRange) as from_d:
+            compute_d(k, m)
+        with pytest.raises(OutOfRange) as from_a:
+            compute_a(k, m)
+        assert str(from_d.value) == str(from_a.value)
+    built = []
+    init = Residue.__init__
+    monkeypatch.setattr(
+        Residue, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    assert compute_d(10**12, m).value == pow_d(10**12, 80)
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize(
     "k,p,expected",
     [(4, 2, 1), (5, 3, 5), (2, 5, 121), (1, 1, 2)],

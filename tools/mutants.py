@@ -107,9 +107,21 @@ MUTANTS = [
     ),
     (
         "src/cyclemod/modring.py",
-        'if bit == "1":',
-        'if bit == "0":',
+        "pow(x, e, m.M)",
+        "pow(x, e ^ (1 << m.bit_width) - 1, m.M)",
         "the ladder multiplying on the 0 bits of phi - 1",
+    ),
+    (
+        "src/cyclemod/modring.py",
+        "else 2 * m.phi - 1",
+        "else m.phi - 1",
+        "the exponent's window fill dropped",
+    ),
+    (
+        "src/cyclemod/modring.py",
+        "pow(x, e, m.M)",
+        "pow(x, -1, m.M)",
+        "the kernel calling pow(x, -1, M), which has no step contract",
     ),
     (
         "src/cyclemod/modring.py",
@@ -140,6 +152,24 @@ MUTANTS = [
         "t[i:i + 65536] for t in text for i in range(0, len(t), 65536)",
         "t for t in text",
         "main writing each text piece unsliced",
+    ),
+    (
+        "src/cyclemod/cli.py",
+        "range(0, len(t), 65536)",
+        "range(0, len(t), 65537)",
+        "main dropping a character between two write slices",
+    ),
+    (
+        "src/cyclemod/cli.py",
+        "if width > MASK_WIDTH_LIMIT:",
+        "if width >= MASK_WIDTH_LIMIT:",
+        "mask refusing the capped width itself",
+    ),
+    (
+        "src/cyclemod/hybrid.py",
+        'int.from_bytes(os.urandom(nbytes), "big") >> shift',
+        'int.from_bytes(os.urandom(nbytes), "big") << shift',
+        "the os source shifting its spare bits in, not out",
     ),
 ]
 
