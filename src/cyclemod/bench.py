@@ -14,10 +14,10 @@ from __future__ import annotations
 import statistics
 import time
 from itertools import accumulate
-from typing import Callable, Literal
+from typing import Literal
 
 from .errors import OutOfRange
-from .modring import Modulus, Record, inverse_ct_counted, inverse_euclid_counted
+from .modring import Record, inverse_ct_counted, inverse_euclid_counted
 from .seedgen import compute_a, generate_sequence
 
 WARMUP_PASSES = 3
@@ -28,14 +28,6 @@ MAX_SAMPLES = 10**6
 Variant = Literal["euclid", "ct"]
 
 _INVERTERS = {"euclid": inverse_euclid_counted, "ct": inverse_ct_counted}
-
-
-def counted_inverter(variant: str) -> Callable[[int, Modulus], tuple[int, int]]:
-    """The counted int kernel named by ``variant``: ``(a, m) -> (a^-1 mod M, steps)``."""
-    try:
-        return _INVERTERS[variant]
-    except KeyError:
-        raise OutOfRange(f"variant must be one of {sorted(_INVERTERS)}, got {variant!r}")
 
 
 class TimingStats(Record):
@@ -64,20 +56,25 @@ class TimingStats(Record):
         return (self.k_end - self.k_start + 1) * self.reps
 
 
-def _operands(p: int, k_range: tuple[int, int]) -> tuple[Modulus, list[int]]:
-    """The ring and the a_k as plain ints (no timed call builds a record), doubled, not walked."""
+def _counted_pass(variant: str, p: int, k_range: tuple[int, int]) -> tuple:
+    """(kernel, ring, a_k, steps): the int kernel named by ``variant``, the a_k as plain
+    ints (no timed call builds a record), doubled, not walked, and each a_k's step
+    count from one counted pass of the kernel over them."""
+    try:
+        counted = _INVERTERS[variant]
+    except KeyError:
+        raise OutOfRange(f"variant must be one of {sorted(_INVERTERS)}, got {variant!r}")
     seq = generate_sequence(p, *k_range)
     m, first = seq.modulus, compute_a(seq.k_start, seq.modulus).value
-    return m, list(accumulate(range(len(seq) - 1), lambda a, _: a * 2 % m.M, initial=first))
+    operands = list(accumulate(range(len(seq) - 1), lambda a, _: a * 2 % m.M, initial=first))
+    return counted, m, operands, [counted(a, m)[1] for a in operands]
 
 
 def count_iterations(
     variant: Variant, p: int, k_range: tuple[int, int]
 ) -> tuple[int, int]:
     """Exact min/max inner-loop step counts over the operand range."""
-    counted = counted_inverter(variant)
-    m, operands = _operands(p, k_range)
-    counts = [counted(a, m)[1] for a in operands]
+    counts = _counted_pass(variant, p, k_range)[3]
     return min(counts), max(counts)
 
 
@@ -85,14 +82,12 @@ def time_inversion(
     variant: Variant, p: int, k_range: tuple[int, int], reps: int
 ) -> TimingStats:
     """Wall-clock statistics of the int kernel over all (k, rep) pairs, warm-up excluded."""
-    if reps < MIN_REPS:
-        raise OutOfRange(f"reps must be >= {MIN_REPS}, got {reps}")
+    if not isinstance(reps, int) or reps < MIN_REPS:
+        raise OutOfRange(f"reps must be an integer >= {MIN_REPS}, got {reps}")
     if (k_range[1] - k_range[0] + 1) * reps > MAX_SAMPLES:
         raise OutOfRange(f"timed samples (k range x reps) are capped at {MAX_SAMPLES}")
 
-    counted = counted_inverter(variant)
-    m, operands = _operands(p, k_range)
-    counts = [counted(a, m)[1] for a in operands]  # the first warm-up pass
+    counted, m, operands, counts = _counted_pass(variant, p, k_range)  # warm-up pass 1
     for _ in range(WARMUP_PASSES - 1):
         for a in operands:
             counted(a, m)

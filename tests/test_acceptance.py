@@ -16,10 +16,8 @@ import pathlib
 import random
 import time
 
-import pytest
-
 from cyclemod.bench import count_iterations, time_inversion
-from cyclemod.cli import THRESHOLD_ENV_VAR, main
+from cyclemod.cli import main
 from cyclemod.ecs import modular_bias_index, score, weighted_score
 from cyclemod.hybrid import EntropyToken, mask_xor, unmask
 from cyclemod.modring import inverse_ct, inverse_euclid, make_modulus
@@ -27,11 +25,6 @@ from cyclemod.seedgen import generate_sequence, orbit
 from oracles import search_inverse, units_of
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
-
-
-@pytest.fixture(autouse=True)
-def clean_threshold_env(monkeypatch):
-    monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)
 
 
 @contextlib.contextmanager

@@ -1,16 +1,11 @@
 """The package's public names are what ``__all__`` says they are."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from conftest import run_child
 
 import cyclemod
-
-SRC = str(Path(cyclemod.__file__).resolve().parent.parent)
 
 
 def test_all_names_are_bound_once_and_star_import_works():
@@ -32,13 +27,7 @@ def _loaded_after(code: str) -> list[str]:
         "import json, sys; print(json.dumps(sorted(n for n in sys.modules"
         " if n.startswith('cyclemod.') or n in ('statistics', 'dataclasses', 'inspect'))))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{report}"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": SRC},
-        check=True,
-    )
+    proc = run_child(["-c", f"{code}\n{report}"], check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 

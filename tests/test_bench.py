@@ -30,9 +30,11 @@ def test_operands_are_the_powers_of_two_with_no_d_walked(p, k_range, monkeypatch
         raise AssertionError("the operands need no d_k")
 
     monkeypatch.setattr(SeedSequence, "walk", walk)
-    m, operands = bench._operands(p, k_range)
+    counted, m, operands, counts = bench._counted_pass("ct", p, k_range)
+    assert counted is bench._INVERTERS["ct"]
     assert m == make_modulus(p)
     assert operands == [pow(2, k - 1, m.M) for k in range(k_range[0], k_range[1] + 1)]
+    assert counts == [m.bit_width] * len(operands)
 
 
 def test_euclid_counts_spread_over_full_period_p5():
@@ -108,6 +110,11 @@ def test_time_inversion_builds_the_same_few_residues_whatever_reps(variant, monk
 def test_time_inversion_rejects_low_reps():
     with pytest.raises(OutOfRange):
         time_inversion("ct", 3, (1, 4), reps=10)
+
+
+def test_time_inversion_rejects_a_non_integer_reps():
+    with pytest.raises(OutOfRange, match="reps must be an integer >= 30, got 30.5"):
+        time_inversion("ct", 3, (1, 4), reps=30.5)
 
 
 def test_timing_stats_invariants_enforced():

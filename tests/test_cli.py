@@ -2,28 +2,21 @@ import importlib
 import io
 import json
 import os
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from conftest import run_child
 from oracles import first_difference, pow_d
 
-import cyclemod
 from cyclemod import cli
 from cyclemod.cli import (
     GEN_CHUNK, PLOT_RANGE_LIMIT, RANGE_LIMIT, THRESHOLD_ENV_VAR, dumps_fixed, main,
 )
 from cyclemod.seedgen import generate_sequence
 from cyclemod.svgplot import render_residue_svg
-
-
-@pytest.fixture(autouse=True)
-def clean_threshold_env(monkeypatch):
-    monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)
 
 
 def run_cli(capsys, *argv):
@@ -458,14 +451,7 @@ def test_console_script_target_runs_main(capsys):
 
 
 def test_module_entrypoint_subprocess():
-    # The child imports the same cyclemod this process imported.
-    src = str(Path(cyclemod.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cyclemod", "gen", "--p", "2", "--k-end", "3"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = run_child(["-m", "cyclemod", "gen", "--p", "2", "--k-end", "3"])
     assert proc.returncode == 0
     assert proc.stdout == "k,a_k,d_k\n1,1,8\n2,2,4\n3,4,2\n"
 

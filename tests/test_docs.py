@@ -1,15 +1,11 @@
 """The demos and the README's library quick start run as documented."""
 
-import os
 import re
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
-
-import cyclemod
+from conftest import run_child
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,18 +13,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # A copy under tmp_path, so that demos writing next to themselves
-    # write there; the child imports the same cyclemod this process did.
+    # A copy under tmp_path, so that demos writing next to themselves write there.
     script = tmp_path / demo.name
     shutil.copy(demo, script)
-    src = str(Path(cyclemod.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, str(script)],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = run_child([str(script)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
 

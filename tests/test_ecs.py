@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclemod.cli import THRESHOLD_ENV_VAR, main
+from cyclemod.cli import main
 from cyclemod.ecs import admit, modular_bias_index, score, weighted_score
 from cyclemod.errors import OutOfRange
 from cyclemod.modring import make_modulus
@@ -66,9 +66,8 @@ def test_metrics_reject_a_non_integer_bucket_count(metric):
         metric(generate_sequence(5, 1, 20), buckets=2.5)
 
 
-def test_mbi_takes_bucket_counts_past_the_float_range(capsys, monkeypatch):
+def test_mbi_takes_bucket_counts_past_the_float_range(capsys):
     # 10^400 buckets overflow a float; mbi is one int true division.
-    monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)
     seq = generate_sequence(2, 1, 6)
     assert score(seq, buckets=10**400).mbi == score(seq, buckets=10**19).mbi
     assert main(["ecs", "--p", "2", "--k-end", "6", "--buckets", str(10**400)]) == 0
@@ -241,7 +240,6 @@ def test_mbi_is_the_correctly_rounded_exact_ratio():
 
 
 @pytest.mark.parametrize("flags,expected", HALF_CASES)
-def test_ecs_prints_a_six_decimal_half_by_its_double(flags, expected, capsys, monkeypatch):
-    monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)
+def test_ecs_prints_a_six_decimal_half_by_its_double(flags, expected, capsys):
     main(["ecs", "--p", "7", *flags])
     assert expected in capsys.readouterr().out

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from cyclemod.cli import THRESHOLD_ENV_VAR, main
+from cyclemod.cli import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -21,11 +21,6 @@ CASES = [
     (["mask", "--p", "3", "--k", "5", "--r-hex", "13"], "mask_p3_k5_r13.txt"),
     (["mask", "--p", "3", "--k", "5", "--source", "test", "--seed", "7"], "mask_p3_k5_test7.txt"),
 ]
-
-
-@pytest.fixture(autouse=True)
-def clean_threshold_env(monkeypatch):
-    monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)
 
 
 @pytest.mark.parametrize("argv,golden", CASES, ids=[c[1] for c in CASES])

@@ -13,15 +13,11 @@ child rises above it by about one SVG, since ``main`` writes the SVG in
 slices rather than encoding a second copy of it in one piece.
 """
 
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
+from conftest import run_child
 
-import cyclemod
 from cyclemod import generate_sequence, render_residue_svg
 from cyclemod.cli import main
 
@@ -89,9 +85,7 @@ sys.exit(code)
 
 def child_peak_mb(argv):
     """Peak resident set in MB (10^6 bytes) of a child process running the CLI."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cyclemod.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, *argv], env=env,
-                          capture_output=True, text=True, check=True)
+    proc = run_child(["-c", _PEAK_CHILD, *argv], check=True)
     return int(proc.stdout) * 1024 / 1e6
 
 

@@ -33,6 +33,12 @@ def test_make_modulus_exact_at_upper_bound():
     assert m.phi == 2 * 3**79
 
 
+def test_make_modulus_shares_one_record_per_p():
+    for p in range(1, P_MAX + 1):
+        assert make_modulus(p) is make_modulus(p)
+        assert make_modulus(p) == Modulus(p)
+
+
 @pytest.mark.parametrize("p", [0, -3, P_MAX + 1])
 def test_make_modulus_rejects_out_of_range(p):
     with pytest.raises(OutOfRange):

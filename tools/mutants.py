@@ -171,6 +171,24 @@ MUTANTS = [
         'int.from_bytes(os.urandom(nbytes), "big") << shift',
         "the os source shifting its spare bits in, not out",
     ),
+    (
+        "src/cyclemod/modring.py",
+        "for p in range(1, P_MAX + 1)}",
+        "for p in range(1, P_MAX)}",
+        "the shared-modulus cache missing p = P_MAX",
+    ),
+    (
+        "src/cyclemod/bench.py",
+        "if not isinstance(reps, int) or reps < MIN_REPS:",
+        "if reps < MIN_REPS:",
+        "time_inversion taking a non-integer reps",
+    ),
+    (
+        "src/cyclemod/bench.py",
+        "        counted = _INVERTERS[variant]\n    except KeyError:",
+        "        counted = _INVERTERS.get(variant, inverse_ct_counted)\n    except KeyError:",
+        "the bench kernel lookup refusing no variant",
+    ),
 ]
 
 # Test ids as pytest prints them that fail on every tree: acceptance
