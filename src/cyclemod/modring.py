@@ -40,11 +40,13 @@ class Record:
         super().__init_subclass__()
         fields = cls.__slots__
         name = "_bind" if "__init__" in cls.__dict__ else "__init__"
-        lines = "".join(f"  set_field(self, {field!r}, {field})\n" for field in fields)
+        # Each field is set by its own slot's descriptor, with no lookup by name.
+        setters = [cls.__dict__[field].__set__ for field in fields]
+        lines = "".join(f"  set_{field}(self, {field})\n" for field in fields)
         namespace: dict = {}
-        exec(f"def make(set_field):\n def {name}(self, {', '.join(fields)}):\n{lines}"
-             f" return {name}", {}, namespace)
-        cls._bind = bind = namespace["make"](object.__setattr__)
+        exec(f"def make({', '.join('set_' + f for f in fields)}):\n"
+             f" def {name}(self, {', '.join(fields)}):\n{lines} return {name}", {}, namespace)
+        cls._bind = bind = namespace["make"](*setters)
         bind.__qualname__ = f"{cls.__qualname__}.{name}"
         if name == "__init__":
             cls.__init__ = bind

@@ -10,6 +10,11 @@ period phi(3^p) and visits every unit exactly once per period. A
 ``SeedSequence`` is therefore just its k range: it stores no d_k, and
 its consumers walk them on demand.
 
+``compute_a`` and ``compute_d`` take a_k = 2^(k-1) from a per-p table of
+fixed-base powers of 2: one multiply per hex digit of (k-1) mod phi. That
+count follows the length of k, as ``pow``'s did; the step contract covers
+only the inversion.
+
 The same residues arise from the integer identity
 
     3^p * (s+1) - 1 = 2^(k-1) * (2 * 3^p * n + d)
@@ -94,11 +99,41 @@ class IdentityWitness(Record):
     __slots__ = ("p", "s", "A", "k", "n", "d")
 
 
+# Fixed-base powers of 2, one table per p, built the first time p is used.
+_POW2: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def _pow2(n: int, m: Modulus) -> int:
+    """2^n mod M for n >= 0: one multiply per hex digit of n mod phi.
+
+    Row i of p's table holds 2^(j * 16^i) mod M for j = 0..15, with one row
+    per hex digit of phi - 1 (32 at p=80). 2^phi = 1 (mod M) by Euler's
+    theorem, so any n first costs one ``%``.
+    """
+    M = m.M
+    rows = _POW2.get(m.p)
+    if rows is None:
+        rows, base = [], 2
+        for _ in range(-(-m.phi.bit_length() // 4)):
+            rows.append(row := [1])
+            for _ in range(15):
+                row.append(row[-1] * base % M)
+            base = row[-1] * base % M
+        rows = _POW2[m.p] = tuple(map(tuple, rows))
+    a, n = 1, n % m.phi
+    for row in rows:
+        if not n:
+            break
+        a = a * row[n & 15] % M
+        n >>= 4
+    return a
+
+
 def compute_a(k: int, m: Modulus) -> Residue:
     """a_k = 2^(k-1) mod M."""
     if not isinstance(k, int) or k < 1:
         raise OutOfRange(f"k must be an integer >= 1, got {k!r}")
-    return Residue(pow(2, k - 1, m.M), m)
+    return Residue(_pow2(k - 1, m), m)
 
 
 def compute_d(k: int, m: Modulus) -> Residue:
@@ -106,7 +141,7 @@ def compute_d(k: int, m: Modulus) -> Residue:
     if not isinstance(k, int) or k < 1:  # compute_a's check; a_k stays an int here
         raise OutOfRange(f"k must be an integer >= 1, got {k!r}")
     # A unit's inverse lies in [1, M), so M minus it is already canonical.
-    return Residue(m.M - inverse_ct_counted(pow(2, k - 1, m.M), m)[0], m)
+    return Residue(m.M - inverse_ct_counted(_pow2(k - 1, m), m)[0], m)
 
 
 def generate_sequence(p: int, k_start: int, k_end: int) -> SeedSequence:

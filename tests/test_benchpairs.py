@@ -2,7 +2,8 @@
 
 The summary over synthetic result records (median, quartiles, IQR and the
 pairs won, for a metric where lower is better and one where higher is),
-and the refusal of two trees whose benchmark harness differs.
+the refusal of two trees whose benchmark harness differs, and the plot
+sweep's layouts and counts over a fake plot runner.
 """
 
 import importlib.util
@@ -112,3 +113,54 @@ def test_main_refuses_a_parent_with_another_harness(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(benchpairs, "run_once", run_once)
     assert benchpairs.main(["--parent", "HEAD~1", "--workdir", str(tmp_path)]) == 2
     assert "BENCHMARK.json" in capsys.readouterr().err
+
+
+def test_plot_sweep_runs_both_trees_at_each_root_length_and_pid_width(tmp_path):
+    holder = tmp_path / "t"
+    for side in benchpairs.SIDES:
+        (holder / side).mkdir(parents=True)
+    calls = []
+
+    def run(tree, pid):
+        assert tree.is_dir()
+        calls.append((tree.name, len(str(tree.parent)), pid))
+        # the upper mode at two layouts for the parent and one for the change
+        return 29.0 if (len(str(tree.parent)) + len(pid)) % 9 == (0 if tree.name == "parent"
+                                                                 else 1) else 22.5
+
+    found = benchpairs.plot_sweep(holder, run)
+    lengths = {length for _, length, _ in calls}
+    assert len(lengths) == benchpairs.SWEEP_LENGTHS == 16
+    assert max(lengths) - min(lengths) == 15
+    for side in benchpairs.SIDES:
+        layouts = [(length, pid) for name, length, pid in calls if name == side]
+        assert len(set(layouts)) == len(layouts) == 48
+        assert {len(pid) for _, pid in layouts} == {4, 5, 6}
+    # each layout runs both sides, and the first side alternates
+    assert [name for name, _, _ in calls[0::2]].count("parent") == 24
+    expected = {side: sum(run_mb > 25 for run_mb in (
+        29.0 if (length + len(pid)) % 9 == (0 if side == "parent" else 1) else 22.5
+        for name, length, pid in calls if name == side)) for side in benchpairs.SIDES}
+    assert {side: found[side]["above_limit"] for side in benchpairs.SIDES} == expected
+    assert all(found[side]["runs"] == 48 for side in benchpairs.SIDES)
+    assert found["parent"]["peak_mb"]["median"] == 22.5
+
+
+def test_main_plot_sweep_prints_each_side_and_writes_no_bench_file(tmp_path, monkeypatch,
+                                                                  capsys):
+    def run_once(*args):
+        raise AssertionError("the sweep runs no benchmark")
+
+    monkeypatch.setattr(benchpairs, "git", lambda *args: "0" * 40 if args[0] == "rev-parse" else "")
+    monkeypatch.setattr(benchpairs, "export", lambda rev, target: harness_tree(target))
+    monkeypatch.setattr(benchpairs, "run_once", run_once)
+    monkeypatch.setattr(benchpairs, "run_plot",
+                        lambda tree, pid: 29.0 if tree.name == "parent" and pid == "4321" else 22.0)
+    monkeypatch.setattr(benchpairs, "ROOT", harness_tree(tmp_path / "checkout"))
+    work = tmp_path / "work"
+    assert benchpairs.main(["--parent", "HEAD~1", "--plot-sweep", "--workdir", str(work)]) == 0
+    out = capsys.readouterr().out
+    assert "parent: 16 of 48 runs above 25 MB" in out
+    assert "change: 0 of 48 runs above 25 MB" in out
+    assert not list((tmp_path / "checkout").glob("BENCH_*.json"))
+    assert list(work.iterdir()) == []

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cyclemod import seedgen
 from cyclemod.errors import OutOfRange
 from cyclemod.modring import Residue, inverse_ct, inverse_euclid, make_modulus
 from cyclemod.seedgen import (
@@ -44,6 +45,42 @@ def test_compute_a_rejects_k_zero():
 def test_k_must_be_an_integer(build):
     with pytest.raises(OutOfRange):
         build(2.5, make_modulus(5))
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_compute_a_is_the_power_of_two_at_every_k_of_a_period(p):
+    # k = phi + 1 wraps (k - 1) mod phi back to 0.
+    m = make_modulus(p)
+    ks = range(1, m.phi + 2)
+    assert [compute_a(k, m).value for k in ks] == [pow(2, k - 1, m.M) for k in ks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(1, 80), k=st.integers(1, 10**400))
+@example(p=80, k=2 * 3**79)  # (k - 1) mod phi = phi - 1: every one of the 32 rows
+@example(p=80, k=2 * 3**79 + 1)  # (k - 1) mod phi = 0: no row
+def test_a_k_and_d_k_satisfy_the_identity_at_any_k(p, k):
+    m = make_modulus(p)
+    a, d = compute_a(k, m).value, compute_d(k, m).value
+    assert a * d % m.M == m.M - 1
+    assert d == pow_d(k, p)
+
+
+def test_power_table_is_built_once_per_p_with_16_entries_per_hex_digit_of_phi(monkeypatch):
+    # A wider table would raise the gen child's peak RSS; a shorter one misses
+    # the top digits of (k - 1) mod phi.
+    monkeypatch.setattr(seedgen, "_POW2", {})
+    for p, height in ((1, 1), (7, 3), (80, 32)):
+        m = make_modulus(p)
+        compute_a(3, m)
+        rows = seedgen._POW2[p]
+        compute_d(10**12, m)
+        compute_a(10**400, m)
+        assert seedgen._POW2[p] is rows
+        assert len(rows) == -(-m.phi.bit_length() // 4) == height
+        assert rows == tuple(
+            tuple(pow(2, j * 16**i, m.M) for j in range(16)) for i in range(height))
+    assert list(seedgen._POW2) == [1, 7, 80]
 
 
 def test_compute_d_builds_at_most_two_residues(monkeypatch):

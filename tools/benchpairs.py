@@ -2,6 +2,7 @@
 
     python tools/benchpairs.py --parent REV [--pairs 10] [--seconds 35]
                                [--workload NAME ...] [--workdir DIR]
+    python tools/benchpairs.py --parent REV --plot-sweep [--workdir DIR]
 
 The parent is exported with ``git archive``, and this checkout is copied
 without ``.git`` and caches, into the sibling directories ``parent`` and
@@ -20,12 +21,23 @@ quartiles (``statistics.quantiles``, exclusive method) and IQR; the pairs
 in which the change was better; attempted and failed operations; host,
 Python, both revisions and the SHA-256 of each tree's sources.
 
+``--plot-sweep`` runs no benchmark. It starts audit-p7's ``plot`` child
+over one 100,000-record window at p=7, as perfbench starts it: the
+harness's own ``CHILD_CODE``, ``cwd`` at the tree's root, ``PYTHONPATH``
+at its ``src/`` and the SVG written to ``ROOT/.perfbench/tmp-<pid>/``. It
+does so on both trees at 16 root-path lengths and 3 pid widths, since the
+child's heap layout, and with it which of its two peak-RSS modes it lands
+in, moves with the lengths of the paths it is given. It prints, per side,
+how many of the 48 runs peaked above 25 MB; the upper mode reads about
+6 MB above the usual one.
+
 Exit status is 0 on success and 2 when the harnesses differ. Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import filecmp
 import io
 import json
@@ -43,6 +55,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 HARNESS = ("perfbench", "BENCHMARK.json")
 SIDES = ("parent", "change")
+SWEEP_LENGTHS = 16  # root-path lengths, one character apart
+SWEEP_PIDS = ("4321", "54321", "654321")  # stand-ins for perfbench's pid in the SVG path
+SWEEP_K = 10**12
+PLOT_LIMIT_MB = 25.0
 _UNCOPIED = shutil.ignore_patterns(
     ".git", ".hypothesis", ".pytest_cache", "__pycache__", ".perfbench", "*.egg-info",
 )
@@ -89,6 +105,46 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(record.read_text(encoding="utf-8"))
 
 
+def child_code(tree: Path) -> str:
+    """perfbench's ``CHILD_CODE``, read from the tree's run.py without importing it."""
+    module = ast.parse((tree / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    for node in module.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CHILD_CODE":
+            return ast.literal_eval(node.value)
+    raise SystemExit(f"benchpairs: no CHILD_CODE in {tree / 'perfbench' / 'run.py'}")
+
+
+def run_plot(tree: Path, pid: str) -> float:
+    """Peak RSS in MB of one audit-p7 plot child of ``tree``, started as perfbench starts it."""
+    work = tree / ".perfbench" / f"tmp-{pid}"
+    work.mkdir(parents=True, exist_ok=True)
+    peak = work / "peak_kb"
+    argv = ["plot", "--p", "7", "--k-start", str(SWEEP_K), "--k-end", str(SWEEP_K + 99_999),
+            "--output", str(work / "plot.svg")]
+    subprocess.run([sys.executable, "-c", child_code(tree), str(peak), *argv], cwd=tree,
+                   env=dict(os.environ, PYTHONPATH=str(tree / "src")), check=True,
+                   stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
+    return int(peak.read_text(encoding="utf-8")) * 1024 / 1e6
+
+
+def plot_sweep(holder: Path, run) -> dict:
+    """Per side, the plot child's peaks over the sweep's layouts, and how many exceed the limit.
+
+    ``holder`` holds the trees ``parent`` and ``change``; it is renamed to
+    each of the sweep's lengths in turn, so both trees always sit at roots
+    of one length. ``run(tree, pid)`` gives one child's peak in MB. Each
+    layout runs both sides, alternating which goes first.
+    """
+    peaks = {side: [] for side in SIDES}
+    for length in range(1, SWEEP_LENGTHS + 1):
+        holder = holder.rename(holder.with_name("r" * length))
+        for i, pid in enumerate(SWEEP_PIDS):
+            for side in SIDES if (length + i) % 2 else SIDES[::-1]:
+                peaks[side].append(run(holder / side, pid))
+    return {side: {"runs": len(mb), "above_limit": sum(v > PLOT_LIMIT_MB for v in mb),
+                   "peak_mb": spread(mb)} for side, mb in peaks.items()}
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1,
@@ -129,6 +185,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--workload", action="append", default=None)
     parser.add_argument("--workdir", default=None)
+    parser.add_argument("--plot-sweep", action="store_true",
+                        help="count plot children above 25 MB instead of running the benchmark")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -143,14 +201,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.workdir:
         os.makedirs(args.workdir, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="benchpairs-", dir=args.workdir) as tmp:
-        parent = export(parent_rev, Path(tmp) / "parent")
+        holder = Path(tmp) / "t"
+        parent = export(parent_rev, holder / "parent")
         differ = harness_differences(parent, ROOT)
         if differ:
             print(f"benchpairs: the harness differs from {short}: {', '.join(differ)}",
                   file=sys.stderr)
             return 2
         trees = {"parent": parent,
-                 "change": shutil.copytree(ROOT, Path(tmp) / "change", ignore=_UNCOPIED)}
+                 "change": shutil.copytree(ROOT, holder / "change", ignore=_UNCOPIED)}
+        if args.plot_sweep:
+            for side, found in plot_sweep(holder, run_plot).items():
+                peak = found["peak_mb"]
+                print(f"benchpairs: plot sweep, {side}: {found['above_limit']} of {found['runs']} "
+                      f"runs above {PLOT_LIMIT_MB:g} MB (median {peak['median']:.2f} MB)")
+            return 0
         started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         summaries, every = {}, {side: [] for side in SIDES}
         for workload in workloads:

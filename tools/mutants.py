@@ -189,6 +189,18 @@ MUTANTS = [
         "        counted = _INVERTERS.get(variant, inverse_ct_counted)\n    except KeyError:",
         "the bench kernel lookup refusing no variant",
     ),
+    (
+        "src/cyclemod/seedgen.py",
+        "row[n & 15]",
+        "row[n & (15 if m.p < 60 else 7)]",
+        "the power table read with a 3-bit mask for p >= 60",
+    ),
+    (
+        "src/cyclemod/seedgen.py",
+        "range(-(-m.phi.bit_length() // 4))",
+        "range(m.phi.bit_length() // 4)",
+        "the power table missing the top hex digit of phi - 1",
+    ),
 ]
 
 # Test ids as pytest prints them that fail on every tree: acceptance
