@@ -124,6 +124,8 @@ def entropy_source(
     randomness facility.
     """
     EntropyToken(0, width)  # the token's width rule, applied at the call
+    if not isinstance(seed, int):
+        raise OutOfRange(f"entropy seed must be an integer, got {seed!r}")
     if kind == "deterministic_test":
         mask = (1 << width) - 1
         base = (seed * _MIX_SEED + _MIX_SEED) & mask

@@ -11,9 +11,9 @@ period phi(3^p) and visits every unit exactly once per period. A
 its consumers walk them on demand.
 
 ``compute_a`` and ``compute_d`` take a_k = 2^(k-1) from a per-p table of
-fixed-base powers of 2: one multiply per hex digit of (k-1) mod phi. That
-count follows the length of k, as ``pow``'s did; the step contract covers
-only the inversion.
+fixed-base powers of 2, one multiply per hex digit of (k-1) mod phi. The
+table grows a row per digit as k needs: 10 rows (about 8 KB) for k <= 10^12,
+at most ceil(phi.bit_length() / 4) (32 rows, about 27 KB) at p=80.
 
 The same residues arise from the integer identity
 
@@ -99,28 +99,24 @@ class IdentityWitness(Record):
     __slots__ = ("p", "s", "A", "k", "n", "d")
 
 
-# Fixed-base powers of 2, one table per p, built the first time p is used.
+# Fixed-base powers of 2 per p: row i holds 2^(j * 16^i) mod M for j = 0..15.
+# Only _a_k writes it, and it replaces p's tuple whole rather than mutating it.
 _POW2: dict[int, tuple[tuple[int, ...], ...]] = {}
 
 
-def _pow2(n: int, m: Modulus) -> int:
-    """2^n mod M for n >= 0: one multiply per hex digit of n mod phi.
-
-    Row i of p's table holds 2^(j * 16^i) mod M for j = 0..15, with one row
-    per hex digit of phi - 1 (32 at p=80). 2^phi = 1 (mod M) by Euler's
-    theorem, so any n first costs one ``%``.
-    """
-    M = m.M
-    rows = _POW2.get(m.p)
-    if rows is None:
-        rows, base = [], 2
-        for _ in range(-(-m.phi.bit_length() // 4)):
-            rows.append(row := [1])
-            for _ in range(15):
-                row.append(row[-1] * base % M)
-            base = row[-1] * base % M
-        rows = _POW2[m.p] = tuple(map(tuple, rows))
-    a, n = 1, n % m.phi
+def _a_k(k: int, m: Modulus) -> int:
+    """a_k = 2^(k-1) mod M: the one check of k, then a multiply per hex digit of (k-1) mod phi."""
+    if not isinstance(k, int) or k < 1:
+        raise OutOfRange(f"k must be an integer >= 1, got {k!r}")
+    M, n = m.M, (k - 1) % m.phi  # 2^phi = 1 (mod M) by Euler's theorem
+    rows = _POW2.get(m.p, ())
+    while n >> 4 * len(rows):  # n has a hex digit past the last row
+        row = [1]
+        base = rows[-1][15] * rows[-1][1] % M if rows else 2
+        for _ in range(15):
+            row.append(row[-1] * base % M)
+        rows = _POW2[m.p] = (*rows, tuple(row))
+    a = 1
     for row in rows:
         if not n:
             break
@@ -131,17 +127,13 @@ def _pow2(n: int, m: Modulus) -> int:
 
 def compute_a(k: int, m: Modulus) -> Residue:
     """a_k = 2^(k-1) mod M."""
-    if not isinstance(k, int) or k < 1:
-        raise OutOfRange(f"k must be an integer >= 1, got {k!r}")
-    return Residue(_pow2(k - 1, m), m)
+    return Residue(_a_k(k, m), m)
 
 
 def compute_d(k: int, m: Modulus) -> Residue:
     """d_k = -(a_k)^-1 mod M by the constant-step inverter; a_k is a unit."""
-    if not isinstance(k, int) or k < 1:  # compute_a's check; a_k stays an int here
-        raise OutOfRange(f"k must be an integer >= 1, got {k!r}")
     # A unit's inverse lies in [1, M), so M minus it is already canonical.
-    return Residue(m.M - inverse_ct_counted(_pow2(k - 1, m), m)[0], m)
+    return Residue(m.M - inverse_ct_counted(_a_k(k, m), m)[0], m)
 
 
 def generate_sequence(p: int, k_start: int, k_end: int) -> SeedSequence:

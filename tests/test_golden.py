@@ -33,3 +33,19 @@ def test_output_is_byte_identical_across_runs_and_matches_golden(
     assert main(argv + ["--output", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
+HELP_VERBS = ["", "gen", "ecs", "decompose", "plot", "mask", "bench"]
+
+
+@pytest.mark.parametrize("verb", HELP_VERBS, ids=[v or "cyclemod" for v in HELP_VERBS])
+def test_help_is_byte_identical_to_golden(verb, capsys, monkeypatch):
+    # argparse wraps help to $COLUMNS; the goldens are made at 80 columns.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, "--help"] if verb else ["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN_DIR / f"help_{verb or 'cyclemod'}.txt").read_text(encoding="utf-8")
+    if verb:  # build_parser adds --output to every verb last
+        assert out.splitlines()[-1].lstrip().startswith("--output")

@@ -227,6 +227,13 @@ def test_source_rejects_a_non_integer_width_at_the_call(kind):
         entropy_source(kind, 4.0)
 
 
+@pytest.mark.parametrize("seed", [1.5, None, "3"])
+@pytest.mark.parametrize("kind", ["deterministic_test", "os"])
+def test_source_rejects_a_non_integer_seed_at_the_call(kind, seed):
+    with pytest.raises(OutOfRange):
+        entropy_source(kind, 8, seed=seed)
+
+
 def test_source_rejects_unknown_kind():
     with pytest.raises(OutOfRange):
         entropy_source("quantum", 8)  # type: ignore[arg-type]

@@ -197,9 +197,15 @@ MUTANTS = [
     ),
     (
         "src/cyclemod/seedgen.py",
-        "range(-(-m.phi.bit_length() // 4))",
-        "range(m.phi.bit_length() // 4)",
+        "while n >> 4 * len(rows):",
+        "while n >> 4 * len(rows) + 4:",
         "the power table missing the top hex digit of phi - 1",
+    ),
+    (
+        "src/cyclemod/seedgen.py",
+        "rows[-1][15] * rows[-1][1] % M",
+        "rows[-1][15] * rows[-1][2] % M",
+        "the power table's next row built on a wrong base",
     ),
 ]
 
