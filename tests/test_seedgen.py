@@ -36,6 +36,17 @@ def test_compute_a_examples():
     assert compute_a(7, make_modulus(2)).value == 1
 
 
+def test_compute_a_rejects_k_zero():
+    with pytest.raises(OutOfRange):
+        compute_a(0, make_modulus(2))
+
+
+@pytest.mark.parametrize("build", [compute_a, compute_d])
+def test_k_must_be_an_integer(build):
+    with pytest.raises(OutOfRange):
+        build(2.5, make_modulus(5))
+
+
 @pytest.mark.parametrize("p", range(1, 8))
 def test_compute_a_is_the_power_of_two_at_every_k_of_a_period(p):
     # k = phi + 1 wraps (k - 1) mod phi back to 0.
@@ -89,6 +100,17 @@ def test_a_k_is_the_power_of_two_in_any_order_of_small_and_large_k(ks, monkeypat
     m = make_modulus(80)
     for k in ks:
         assert compute_a(k, m).value == pow(2, k - 1, m.M)
+
+
+def test_compute_d_builds_at_most_two_residues(monkeypatch):
+    # a_k and the d_k returned; the inversion between them runs on ints.
+    built = []
+    init = Residue.__init__
+    monkeypatch.setattr(
+        Residue, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    d = compute_d(10**12, make_modulus(80))
+    assert len(built) <= 2
+    assert d.value == pow_d(10**12, 80)
 
 
 def test_compute_d_builds_one_residue_and_checks_k_as_compute_a_does(monkeypatch):
