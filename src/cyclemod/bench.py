@@ -84,7 +84,7 @@ def time_inversion(
     """Wall-clock statistics of the int kernel over all (k, rep) pairs, warm-up excluded."""
     if not isinstance(reps, int) or reps < MIN_REPS:
         raise OutOfRange(f"reps must be an integer >= {MIN_REPS}, got {reps}")
-    if (k_range[1] - k_range[0] + 1) * reps > MAX_SAMPLES:
+    if len(generate_sequence(p, *k_range)) * reps > MAX_SAMPLES:
         raise OutOfRange(f"timed samples (k range x reps) are capped at {MAX_SAMPLES}")
 
     counted, m, operands, counts = _counted_pass(variant, p, k_range)  # warm-up pass 1

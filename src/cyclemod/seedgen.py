@@ -11,9 +11,8 @@ period phi(3^p) and visits every unit exactly once per period. A
 its consumers walk them on demand.
 
 ``compute_a`` and ``compute_d`` take a_k = 2^(k-1) from a per-p table of
-fixed-base powers of 2, one multiply per hex digit of (k-1) mod phi. The
-table grows a row per digit as k needs: 10 rows (about 8 KB) for k <= 10^12,
-at most ceil(phi.bit_length() / 4) (32 rows, about 27 KB) at p=80.
+fixed-base powers of 2 that grows a row per hex digit of (k-1) mod phi as k
+needs (10 rows for k <= 10^12, at most 32 at p=80), one multiply per row.
 
 The same residues arise from the integer identity
 
@@ -105,7 +104,7 @@ _POW2: dict[int, tuple[tuple[int, ...], ...]] = {}
 
 
 def _a_k(k: int, m: Modulus) -> int:
-    """a_k = 2^(k-1) mod M: the one check of k, then a multiply per hex digit of (k-1) mod phi."""
+    """a_k = 2^(k-1) mod M: the one check of k, then one multiply per grown row of p's table."""
     if not isinstance(k, int) or k < 1:
         raise OutOfRange(f"k must be an integer >= 1, got {k!r}")
     M, n = m.M, (k - 1) % m.phi  # 2^phi = 1 (mod M) by Euler's theorem
@@ -118,8 +117,6 @@ def _a_k(k: int, m: Modulus) -> int:
         rows = _POW2[m.p] = (*rows, tuple(row))
     a = 1
     for row in rows:
-        if not n:
-            break
         a = a * row[n & 15] % M
         n >>= 4
     return a
@@ -143,9 +140,10 @@ def generate_sequence(p: int, k_start: int, k_end: int) -> SeedSequence:
 
 def orbit(p: int) -> tuple[set[int], int]:
     """Distinct d_k values over one full period, k = 1..phi(M), and their count."""
-    if p > ORBIT_P_LIMIT:
+    m = make_modulus(p)
+    if m.p > ORBIT_P_LIMIT:
         raise OutOfRange(f"orbit enumeration is capped at p <= {ORBIT_P_LIMIT}, got {p}")
-    seen = set(generate_sequence(p, 1, make_modulus(p).phi).walk())
+    seen = set(SeedSequence(m, 1, m.phi).walk())
     return seen, len(seen)
 
 
@@ -170,10 +168,12 @@ def decompose_identity(p: int, s: int) -> IdentityWitness:
 def verify_identity(w: IdentityWitness) -> bool:
     """Exact integer check of the witness; d = d_k (mod 3^p) follows from it."""
     M = make_modulus(w.p).M
+    if not int is type(w.s) is type(w.A) is type(w.k) is type(w.n) is type(w.d):
+        return False
     if w.A != M * (w.s + 1) - 1:
         return False
     # 2^(k-1) <= A for any valid witness, so no larger k can verify.
     if not 1 <= w.k <= w.A.bit_length():
         return False
     # A = -1 (mod M), so d reduces to d_k without an inversion.
-    return w.A == 2 ** (w.k - 1) * (2 * M * w.n + w.d)
+    return w.A == (2 * M * w.n + w.d) << (w.k - 1)

@@ -12,14 +12,13 @@ walked and its y text is cycled. The circles are then made from each
 chunk's span of the polyline text by two str.replace calls, so every
 coordinate is formatted once.
 
-The SVG grows as one local str. CPython resizes such a str in place when
-the local holds its only reference, so the render peaks near one SVG, not
-two; the bytes do not depend on that behaviour, only the peak does.
+The polyline's texts are joined once, into a block of their own, and the
+circles then grow that str in place; only the peak depends on this, not the bytes.
 """
 
 from __future__ import annotations
 
-from itertools import chain, cycle, islice, repeat
+from itertools import accumulate, chain, cycle, islice, repeat
 from operator import add, truediv
 
 from .seedgen import SeedSequence
@@ -90,21 +89,22 @@ def render_residue_svg(seq: SeedSequence) -> str:
         y_texts = cycle(list(islice(y_texts, m.phi)))
     if n == 1:  # a single point draws no polyline
         return svg + _circles(f"{x0:.2f},{next(y_texts)}") + "</svg>\n"
-    svg += '<polyline points="'
-    spans = []
+    parts = [svg, '<polyline points="']
     for start in range(0, n, CHUNK):
         c = min(CHUNK, n - start)
         # x0 + i * dx / k_span for i in start .. start + c - 1, as C-level maps
         xs = map(add, repeat(x0, c), map(truediv, range(start * dx, (start + c) * dx, dx),
                                          repeat(k_span, c)))
-        points = " ".join(repeat("%.2f,%s", c)) % tuple(chain.from_iterable(
-            zip(xs, islice(y_texts, c))))
         if start:
-            svg += " "
-        spans.append(slice(len(svg), len(svg) + len(points)))
-        svg += points
-    svg += '" fill="none" stroke="#888888" stroke-width="0.5"/>\n'
-    for span in spans:
+            parts.append(" ")
+        parts.append(" ".join(repeat("%.2f,%s", c)) % tuple(chain.from_iterable(
+            zip(xs, islice(y_texts, c)))))
+    parts.append('" fill="none" stroke="#888888" stroke-width="0.5"/>\n')
+    # One join, not +=: a str grown in the brk heap may be moved out later and strand its pages.
+    ends = list(accumulate(map(len, parts)))  # each chunk's text ends at ends[2 + 2i]
+    svg = "".join(parts)
+    del parts
+    for span in map(slice, ends[1::2], ends[2::2]):
         svg += _circles(svg[span])
     svg += "</svg>\n"
     return svg

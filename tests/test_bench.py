@@ -117,6 +117,13 @@ def test_time_inversion_rejects_a_non_integer_reps():
         time_inversion("ct", 3, (1, 4), reps=30.5)
 
 
+@pytest.mark.parametrize("k_range", [("a", 2), (1, "b"), (None, 2), (5, 3), (1.5, 3)])
+def test_time_inversion_refuses_bad_bounds_before_its_sample_cap(k_range):
+    # The range check of SeedSequence, not arithmetic on the bounds, refuses them.
+    with pytest.raises(OutOfRange, match="k_start|k bounds"):
+        time_inversion("ct", 3, k_range, reps=30)
+
+
 def test_timing_stats_invariants_enforced():
     with pytest.raises(OutOfRange):
         TimingStats(

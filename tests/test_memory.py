@@ -1,10 +1,11 @@
 """Peak traced allocation of the range verbs, against the bytes they produce.
 
 A sequence is its k range and the verbs walk its d_k, so only the SVG
-``plot`` returns may grow with the range. The render grows that SVG as
-one string and makes its circles from the polyline text, so it peaks at
-the output string itself and a few chunks of working text; a render that
-held its output twice, as parts and their join, would not. ``gen``
+``plot`` returns may grow with the range. The render joins the polyline
+once, then grows that SVG as one string and makes its circles from the
+polyline text, so it peaks at the output string itself and a few chunks
+of working text; a render that held its output twice, as parts and their
+join, would not. ``gen``
 writes its text in small pieces, and a range alone and ``ecs``, whose
 report does not grow with the range, stay within fixed budgets. The last
 checks read the peak the benchmark reads: the peak resident set of a

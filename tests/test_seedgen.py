@@ -1,4 +1,7 @@
+import gc
+import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 
 from cyclemod import seedgen
 from cyclemod.errors import OutOfRange
+from cyclemod.hybrid import entropy_source, mask_xor, unmask
 from cyclemod.modring import Residue, inverse_ct, inverse_euclid, make_modulus
 from cyclemod.seedgen import (
     IdentityWitness,
@@ -100,6 +104,67 @@ def test_a_k_is_the_power_of_two_in_any_order_of_small_and_large_k(ks, monkeypat
     m = make_modulus(80)
     for k in ks:
         assert compute_a(k, m).value == pow(2, k - 1, m.M)
+
+
+_PACKAGE = str(Path(seedgen.__file__).parent)
+
+
+def keyed_trace(k, m, token):
+    """The program-counter trace of one keyed request, whose outputs it checks.
+
+    The request is compute_d, mask_xor, unmask and hex. The trace holds the
+    (function, line) of every Python line run in a file of the package and
+    the qualified name of every C function called, in order.
+    """
+    events = []
+
+    def trace(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(_PACKAGE):
+            return None
+        if event == "line":
+            events.append((frame.f_code.co_name, frame.f_lineno))
+        return trace
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            events.append(arg.__qualname__)
+
+    # No collection mid-request: a finalizer it ran would add its own calls.
+    old_trace, old_profile, collecting = sys.gettrace(), sys.getprofile(), gc.isenabled()
+    gc.disable()
+    sys.settrace(trace)
+    sys.setprofile(profile)
+    try:
+        d = compute_d(k, m)
+        seed = mask_xor(d, token, k)
+        recovered = unmask(seed, token)
+        text = seed.hex()
+    finally:
+        sys.setprofile(old_profile)
+        sys.settrace(old_trace)
+        if collecting:
+            gc.enable()
+    assert recovered == d
+    assert int(text, 16) == d.value ^ token.bits
+    return tuple(events)
+
+
+@pytest.mark.parametrize("p", [1, 7, 80])
+def test_keyed_request_runs_one_trace_for_every_k_once_the_table_is_full(p, monkeypatch):
+    # The program counter security model: with p's table at full height, no
+    # Python line or C call of the keyed path depends on k or on the token.
+    monkeypatch.setattr(seedgen, "_POW2", {})
+    m = make_modulus(p)
+    compute_a(2 * 3 ** (p - 1), m)  # (k - 1) mod phi = phi - 1 grows every row
+    assert len(seedgen._POW2[p]) == -(-m.phi.bit_length() // 4)
+    rng = random.Random(p)
+    ks = [1, 2, 10**12, 2 * 3 ** (p - 1)] + [rng.randint(1, 10**12) for _ in range(20)]
+    tokens = entropy_source("deterministic_test", m.bit_width, seed=p)
+    traces = {keyed_trace(k, m, next(tokens)) for k in ks}
+    assert len(traces) == 1
+    events = traces.pop()
+    assert {"pow", "format"} <= set(events)
+    assert {"_a_k", "unmask", "hex"} <= {event[0] for event in events if type(event) is tuple}
 
 
 def test_compute_d_builds_at_most_two_residues(monkeypatch):
@@ -326,10 +391,16 @@ def test_orbit_matches_per_k_inversion(p, inverse):
 
 
 def test_orbit_rejects_oversized_p():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match="orbit enumeration is capped at p <= 14, got 15"):
         orbit(15)
     with pytest.raises(OutOfRange):
         orbit(27)
+
+
+@pytest.mark.parametrize("p", ["3", None, 2.5, 0, 81])
+def test_orbit_refuses_a_p_that_is_not_a_ring_exponent(p):
+    with pytest.raises(OutOfRange):
+        orbit(p)
 
 
 @pytest.mark.parametrize("p,s,A,k,n,d", WITNESS_ROWS)
@@ -369,6 +440,17 @@ def test_verify_identity_rejects_wrong_k():
 def test_verify_identity_rejects_bad_p():
     with pytest.raises(OutOfRange):
         verify_identity(IdentityWitness(p=81, s=0, A=0, k=1, n=0, d=0))
+
+
+@pytest.mark.parametrize(
+    "p,s,field",
+    [(3, 2, field) for field in "sAknd"] + [pytest.param(80, 10**400, "k", id="80-10^400-k")],
+)
+def test_verify_identity_is_false_for_a_non_integer_field(p, s, field):
+    # A float must neither verify nor overflow: 2.0 ** (k - 1) does at p=80.
+    fields = decompose_identity(p, s)._asdict()
+    assert verify_identity(IdentityWitness(**fields))
+    assert not verify_identity(IdentityWitness(**{**fields, field: float(fields[field])}))
 
 
 def test_verify_identity_rejects_wrong_A():

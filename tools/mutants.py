@@ -59,9 +59,15 @@ MUTANTS = [
     ),
     (
         "src/cyclemod/svgplot.py",
-        'if start:\n            svg += " "\n',
-        'if start:\n            svg += ""\n',
+        'if start:\n            parts.append(" ")\n',
+        'if start:\n            parts.append("")\n',
         "the polyline's separator between chunks dropped",
+    ),
+    (
+        "src/cyclemod/svgplot.py",
+        '    svg = "".join(parts)\n    del parts\n',
+        '    svg = "".join(parts)\n',
+        "the polyline's chunk texts kept through the circles",
     ),
     (
         "src/cyclemod/svgplot.py",
@@ -77,7 +83,7 @@ MUTANTS = [
     ),
     (
         "src/cyclemod/seedgen.py",
-        "return w.A == 2 ** (w.k - 1) * (2 * M * w.n + w.d)",
+        "return w.A == (2 * M * w.n + w.d) << (w.k - 1)",
         "return True",
         "verify_identity without its factorization check",
     ),
@@ -206,6 +212,12 @@ MUTANTS = [
         "rows[-1][15] * rows[-1][1] % M",
         "rows[-1][15] * rows[-1][2] % M",
         "the power table's next row built on a wrong base",
+    ),
+    (
+        "src/cyclemod/seedgen.py",
+        "    for row in rows:\n        a = a * row[n & 15] % M\n",
+        "    for row in rows:\n        if not n:\n            break\n        a = a * row[n & 15] % M\n",
+        "the power table lookup stopping after n's top digit, which reads k",
     ),
 ]
 
