@@ -13,6 +13,7 @@ fixed six decimals, so golden files are stable across platforms.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from contextlib import AbstractContextManager, nullcontext
@@ -21,17 +22,15 @@ from typing import Iterable, Iterator, TextIO
 
 from . import ecs as ecs_mod
 from .errors import CycleModError, OutOfRange, WidthMismatch
-from .hybrid import entropy_source, mask_xor, token_from_hex
 from .modring import make_modulus
 from .seedgen import (
     SeedSequence, compute_d, decompose_identity, generate_sequence, verify_identity,
 )
-from .svgplot import render_residue_svg
 
 THRESHOLD_ENV_VAR = "CYCLEMOD_THRESHOLD"
 # Records per range verb. The verbs walk d_k and store none: at p = 80,
 # 10^6 records peak at about 15 MB of RSS for gen (CSV or JSON) and for
-# ecs, as does importing cli; 10^5 plot points at that plus one SVG, 22.5 MB.
+# ecs, as does importing cli; 10^5 plot points at that plus one 5.35 MB SVG, 21.3 MB.
 RANGE_LIMIT = 10**6
 PLOT_RANGE_LIMIT = 10**5
 # A token of width w costs w/8 bytes; the widest residue (p = 80) is 127 bits.
@@ -203,11 +202,13 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 
 def cmd_plot(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    from .svgplot import render_residue_svg  # here, so that no other verb loads it
     # Lazy: the SVG is drawn as main writes it, after --output opens.
     return EXIT_OK, map(render_residue_svg, [_sequence(args, PLOT_RANGE_LIMIT)])
 
 
 def cmd_mask(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    from .hybrid import entropy_source, mask_xor, token_from_hex  # likewise
     m = make_modulus(args.p)
     width = args.width if args.width is not None else m.bit_width
     if width > MASK_WIDTH_LIMIT:
@@ -229,6 +230,15 @@ def cmd_bench(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     k_end = args.k_end if args.k_end is not None else m.phi
     report = bench_mod.compare_report(args.p, (args.k_start, k_end), args.reps)
     return EXIT_OK, [dumps_fixed(report) + "\n"]
+
+
+def __getattr__(name: str):
+    """The hybrid and svgplot names cli bound before mask and plot imported them (PEP 562)."""
+    module = {"render_residue_svg": "svgplot", "entropy_source": "hybrid", "mask_xor": "hybrid",
+              "token_from_hex": "hybrid"}.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,7 +10,7 @@ polyline text "x,y x,y ...", and no d_k or coordinate list spans the
 whole range. Past one period the d_k repeat, so only the first period is
 walked and its y text is cycled. The circles are then made from each
 chunk's span of the polyline text by two str.replace calls, so every
-coordinate is formatted once.
+coordinate is formatted once; one group gives every circle its fill.
 
 The polyline's texts are joined once, into a block of their own, and the
 circles then grow that str in place; only the peak depends on this, not the bytes.
@@ -37,7 +37,8 @@ _HEADER = (
     f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {VIEW_W} {VIEW_H}" '
     f'width="{VIEW_W}" height="{VIEW_H}">\n'
 )
-_CIRCLE_START, _CIRCLE_END = '<circle cx="', '" r="2" fill="#1f4e8c"/>\n'
+_CIRCLE_START, _CIRCLE_END = '<circle cx="', '" r="2"/>\n'
+_GROUP_OPEN, _SVG_END = '<g fill="#1f4e8c">\n', "</g>\n</svg>\n"
 
 
 def render_residue_svg(seq: SeedSequence) -> str:
@@ -88,7 +89,7 @@ def render_residue_svg(seq: SeedSequence) -> str:
         # Past one period the d_k repeat, so one period of y text is cycled.
         y_texts = cycle(list(islice(y_texts, m.phi)))
     if n == 1:  # a single point draws no polyline
-        return svg + _circles(f"{x0:.2f},{next(y_texts)}") + "</svg>\n"
+        return svg + _GROUP_OPEN + _circles(f"{x0:.2f},{next(y_texts)}") + _SVG_END
     parts = [svg, '<polyline points="']
     for start in range(0, n, CHUNK):
         c = min(CHUNK, n - start)
@@ -99,14 +100,14 @@ def render_residue_svg(seq: SeedSequence) -> str:
             parts.append(" ")
         parts.append(" ".join(repeat("%.2f,%s", c)) % tuple(chain.from_iterable(
             zip(xs, islice(y_texts, c)))))
-    parts.append('" fill="none" stroke="#888888" stroke-width="0.5"/>\n')
+    parts.append('" fill="none" stroke="#888888" stroke-width="0.5"/>\n' + _GROUP_OPEN)
     # One join, not +=: a str grown in the brk heap may be moved out later and strand its pages.
     ends = list(accumulate(map(len, parts)))  # each chunk's text ends at ends[2 + 2i]
     svg = "".join(parts)
     del parts
     for span in map(slice, ends[1::2], ends[2::2]):
         svg += _circles(svg[span])
-    svg += "</svg>\n"
+    svg += _SVG_END
     return svg
 
 

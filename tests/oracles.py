@@ -75,7 +75,7 @@ def svg_reference(p: int, k_start: int, d_list: list[int]) -> str:
 
     A plain-int copy of the original one-element-per-point renderer:
     800x400 view, margins 56/20/36/44, .2f coordinates, polyline before
-    the circles.
+    the circles, which sit in one group that gives their fill.
     """
     M = 3**p
     k_end = k_start + len(d_list) - 1
@@ -121,9 +121,10 @@ def svg_reference(p: int, k_start: int, d_list: list[int]) -> str:
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="#888888" stroke-width="0.5"/>\n'
         )
+    parts.append('<g fill="#1f4e8c">\n')
     for k, d in points:
-        parts.append(f'<circle cx="{sx(k):.2f}" cy="{sy(d):.2f}" r="2" fill="#1f4e8c"/>\n')
-    parts.append("</svg>\n")
+        parts.append(f'<circle cx="{sx(k):.2f}" cy="{sy(d):.2f}" r="2"/>\n')
+    parts.append("</g>\n</svg>\n")
     return "".join(parts)
 
 

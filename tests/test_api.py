@@ -1,11 +1,15 @@
-"""The package's public names are what ``__all__`` says they are."""
+"""The package's public names are what ``__all__`` says they are, and each
+verb loads only the modules it calls."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from conftest import run_child
 
 import cyclemod
+from cyclemod import cli
 
 
 def test_all_names_are_bound_once_and_star_import_works():
@@ -21,8 +25,9 @@ def test_all_names_are_bound_once_and_star_import_works():
 
 
 def _loaded_after(code: str) -> list[str]:
-    """The ``cyclemod.*``, ``statistics``, ``dataclasses`` and ``inspect`` modules a
-    fresh interpreter holds after ``code``."""
+    """The ``cyclemod.*`` (``cyclemod.hybrid`` and ``cyclemod.svgplot`` among them),
+    ``statistics``, ``dataclasses`` and ``inspect`` modules a fresh interpreter
+    holds after ``code``."""
     report = (
         "import json, sys; print(json.dumps(sorted(n for n in sys.modules"
         " if n.startswith('cyclemod.') or n in ('statistics', 'dataclasses', 'inspect'))))"
@@ -46,16 +51,16 @@ except SystemExit as exc:
     assert exc.code == 0, exc.code"""
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["gen", "--p", "2", "--k-end", "3"],
-        ["ecs", "--p", "2", "--k-end", "6"],
-        ["plot", "--p", "2", "--k-end", "6"],
-        ["decompose", "--p", "2", "--s", "0"],
-        ["mask", "--p", "3", "--k", "5", "--r-hex", "13"],
-    ],
-)
+VERBS = [
+    ["gen", "--p", "2", "--k-end", "3"],
+    ["ecs", "--p", "2", "--k-end", "6"],
+    ["plot", "--p", "2", "--k-end", "6"],
+    ["decompose", "--p", "2", "--s", "0"],
+    ["mask", "--p", "3", "--k", "5", "--r-hex", "13"],
+]
+
+
+@pytest.mark.parametrize("argv", VERBS)
 def test_verbs_other_than_bench_load_no_bench(tmp_path, argv):
     argv = [*argv, "--output", str(tmp_path / "out")]
     loaded = _loaded_after(_RUN_MODULE.format(argv=argv))
@@ -70,3 +75,40 @@ def test_bench_loads_bench(tmp_path):
     loaded = _loaded_after(_RUN_MODULE.format(argv=argv))
     assert "cyclemod.bench" in loaded and "statistics" in loaded
     assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+# The one module each verb needs beyond cli's own imports, if any.
+_CALLED = {"plot": "cyclemod.svgplot", "mask": "cyclemod.hybrid"}
+
+
+@pytest.mark.parametrize("argv", VERBS, ids=[argv[0] for argv in VERBS])
+def test_hybrid_and_svgplot_load_only_in_the_verbs_that_call_them(tmp_path, argv):
+    loaded = _loaded_after(_RUN_MODULE.format(argv=[*argv, "--output", str(tmp_path / "out")]))
+    called = _CALLED.get(argv[0])
+    assert {"cyclemod.hybrid", "cyclemod.svgplot"} & set(loaded) == ({called} if called else set())
+
+
+def _cli_targets():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sorted({attr for mod, attr, *_ in module.TARGETS if mod == "cli"})
+
+
+@pytest.mark.parametrize("name", [*_cli_targets(), "entropy_source"])
+def test_cli_resolves_each_name_the_benchmark_traces(name):
+    assert getattr(cli, name) is getattr(cyclemod, name)  # the defining module's own object
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "unmask", "svgplot", "EntropyToken"])
+def test_cli_refuses_a_name_it_never_bound(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(cli, name)
+
+
+def test_import_cli_loads_neither_hybrid_nor_svgplot_until_a_name_is_asked():
+    loaded = _loaded_after("import cyclemod.cli as cli")
+    assert "cyclemod.hybrid" not in loaded and "cyclemod.svgplot" not in loaded
+    loaded = _loaded_after("import cyclemod.cli as cli\ncli.render_residue_svg")
+    assert "cyclemod.svgplot" in loaded and "cyclemod.hybrid" not in loaded

@@ -3,7 +3,7 @@
 The summary over synthetic result records (median, quartiles, IQR and the
 pairs won, for a metric where lower is better and one where higher is),
 the refusal of two trees whose benchmark harness differs, and the plot
-sweep's layouts and counts over a fake plot runner.
+sweep's layouts, counts and largest peaks over a fake plot runner.
 """
 
 import importlib.util
@@ -144,6 +144,8 @@ def test_plot_sweep_runs_both_trees_at_each_root_length_and_pid_width(tmp_path):
     assert {side: found[side]["above_limit"] for side in benchpairs.SIDES} == expected
     assert all(found[side]["runs"] == 48 for side in benchpairs.SIDES)
     assert found["parent"]["peak_mb"]["median"] == 22.5
+    assert {side: found[side]["peak_mb"]["max"] for side in benchpairs.SIDES} == {
+        side: 29.0 if expected[side] else 22.5 for side in benchpairs.SIDES}
 
 
 def test_main_plot_sweep_prints_each_side_and_writes_no_bench_file(tmp_path, monkeypatch,
@@ -154,13 +156,14 @@ def test_main_plot_sweep_prints_each_side_and_writes_no_bench_file(tmp_path, mon
     monkeypatch.setattr(benchpairs, "git", lambda *args: "0" * 40 if args[0] == "rev-parse" else "")
     monkeypatch.setattr(benchpairs, "export", lambda rev, target: harness_tree(target))
     monkeypatch.setattr(benchpairs, "run_once", run_once)
-    monkeypatch.setattr(benchpairs, "run_plot",
-                        lambda tree, pid: 29.0 if tree.name == "parent" and pid == "4321" else 22.0)
+    # the parent: 16 runs at 29.0 MB and 32 at 22.0; the change: 16 at 23.4 MB, a mode below 25 MB
+    monkeypatch.setattr(benchpairs, "run_plot", lambda tree, pid: (
+        {"parent": 29.0, "change": 23.4}[tree.name] if pid == "4321" else 22.0))
     monkeypatch.setattr(benchpairs, "ROOT", harness_tree(tmp_path / "checkout"))
     work = tmp_path / "work"
     assert benchpairs.main(["--parent", "HEAD~1", "--plot-sweep", "--workdir", str(work)]) == 0
     out = capsys.readouterr().out
-    assert "parent: 16 of 48 runs above 25 MB" in out
-    assert "change: 0 of 48 runs above 25 MB" in out
+    assert "parent: 16 of 48 runs above 25 MB (median 22.00, q3 29.00, max 29.00 MB)" in out
+    assert "change: 0 of 48 runs above 25 MB (median 22.00, q3 23.40, max 23.40 MB)" in out
     assert not list((tmp_path / "checkout").glob("BENCH_*.json"))
     assert list(work.iterdir()) == []

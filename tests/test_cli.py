@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import run_child
 from oracles import first_difference, pow_d
 
-from cyclemod import cli
+from cyclemod import cli, svgplot
 from cyclemod.cli import (
     GEN_CHUNK, PLOT_RANGE_LIMIT, RANGE_LIMIT, THRESHOLD_ENV_VAR, dumps_fixed, main,
 )
@@ -233,12 +233,12 @@ def test_plot_writes_file(tmp_path, capsys):
 
 
 def test_plot_written_through_main_equals_the_render(capsys, tmp_path):
-    # 138,023 bytes: main writes them in 64 KiB slices, and no byte may fall between two.
+    # 108,047 bytes: main writes them in 64 KiB slices, and no byte may fall between two.
     target = tmp_path / "p7.svg"
     code, out, _ = run_cli(capsys, "plot", "--p", "7", "--k-end", "2000", "--output", str(target))
     expected = render_residue_svg(generate_sequence(7, 1, 2000)).encode()
     assert (code, out) == (0, "")
-    assert len(expected) == 138_023
+    assert len(expected) == 108_047
     assert target.read_bytes() == expected
 
 
@@ -285,7 +285,7 @@ def test_unwritable_output_exits_usage(capsys, tmp_path, argv, where):
 
 def test_plot_refuses_unwritable_output_before_rendering(capsys, tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "render_residue_svg", lambda seq: calls.append(seq) or "")
+    monkeypatch.setattr(svgplot, "render_residue_svg", lambda seq: calls.append(seq) or "")
     target = tmp_path / "missing" / "x.svg"
     code, out, err = run_cli(
         capsys, "plot", "--p", "80", "--k-end", "100000", "--output", str(target)
@@ -334,7 +334,7 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(seq):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr(cli, "render_residue_svg", broken)
+    monkeypatch.setattr(svgplot, "render_residue_svg", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["plot", "--p", "2", "--k-end", "6"])
 

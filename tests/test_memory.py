@@ -117,7 +117,7 @@ def plot_argv(n, target):
 
 @pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM in /proc/self/status")
 def test_plot_child_peaks_about_one_svg_over_one_point(tmp_path):
-    # 10^5 points write a 6.85 MB SVG. A child that held it twice, as a join
+    # 10^5 points write a 5.35 MB SVG. A child that held it twice, as a join
     # of its parts or as the bytes of one write, would peak two SVGs above
     # a one-point plot. Where the allocator first grows the string inside
     # its heap, one early piece of it may be left behind: up to about 1.8 MB.

@@ -33,3 +33,16 @@ def test_render_matches_reference_at_the_benchmark_shape():
     seq = generate_sequence(7, k_start, k_start + n - 1)
     d_list = [pow_d(k, 7) for k in range(k_start, k_start + n)]
     assert first_difference(render_residue_svg(seq), svg_reference(7, k_start, d_list)) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, CHUNK + 1])
+def test_circles_take_their_fill_from_one_group(n):
+    svg = render_residue_svg(generate_sequence(7, K_START, K_START + n - 1))
+    circles = [line for line in svg.splitlines() if line.startswith("<circle")]
+    # perfbench's oracle counts one "<circle " per point.
+    assert svg.count("<circle ") == len(circles) == n
+    assert not any("fill=" in line for line in circles)
+    assert svg.count("<g") == svg.count("</g>") == 1
+    group = svg[svg.index("<g"):svg.index("</g>")]
+    assert group.startswith('<g fill="#1f4e8c">\n') and group.count("<circle ") == n
+    assert svg.endswith("</g>\n</svg>\n")

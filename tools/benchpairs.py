@@ -28,8 +28,9 @@ at its ``src/`` and the SVG written to ``ROOT/.perfbench/tmp-<pid>/``. It
 does so on both trees at 16 root-path lengths and 3 pid widths, since the
 child's heap layout, and with it which of its two peak-RSS modes it lands
 in, moves with the lengths of the paths it is given. It prints, per side,
-how many of the 48 runs peaked above 25 MB; the upper mode reads about
-6 MB above the usual one.
+how many of the 48 runs peaked above 25 MB, where the upper mode reads
+about 6 MB above the usual one, and the median, upper quartile and
+largest peak, which also show a mode too small to pass 25 MB.
 
 Exit status is 0 on success and 2 when the harnesses differ. Stdlib only.
 """
@@ -142,7 +143,7 @@ def plot_sweep(holder: Path, run) -> dict:
             for side in SIDES if (length + i) % 2 else SIDES[::-1]:
                 peaks[side].append(run(holder / side, pid))
     return {side: {"runs": len(mb), "above_limit": sum(v > PLOT_LIMIT_MB for v in mb),
-                   "peak_mb": spread(mb)} for side, mb in peaks.items()}
+                   "peak_mb": {**spread(mb), "max": max(mb)}} for side, mb in peaks.items()}
 
 
 def spread(values: list[float]) -> dict:
@@ -214,7 +215,8 @@ def main(argv: list[str] | None = None) -> int:
             for side, found in plot_sweep(holder, run_plot).items():
                 peak = found["peak_mb"]
                 print(f"benchpairs: plot sweep, {side}: {found['above_limit']} of {found['runs']} "
-                      f"runs above {PLOT_LIMIT_MB:g} MB (median {peak['median']:.2f} MB)")
+                      f"runs above {PLOT_LIMIT_MB:g} MB (median {peak['median']:.2f}, "
+                      f"q3 {peak['q3']:.2f}, max {peak['max']:.2f} MB)")
             return 0
         started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         summaries, every = {}, {side: [] for side in SIDES}

@@ -71,9 +71,15 @@ MUTANTS = [
     ),
     (
         "src/cyclemod/svgplot.py",
-        '    svg += "</svg>\\n"\n    return svg\n',
-        '    return svg + "</svg>\\n"\n',
+        "    svg += _SVG_END\n    return svg\n",
+        "    return svg + _SVG_END\n",
         "the render returning a second copy of its SVG",
+    ),
+    (
+        "src/cyclemod/svgplot.py",
+        '\'<g fill="#1f4e8c">\\n\'',
+        "'<g>\\n'",
+        "the circles' group without its fill",
     ),
     (
         "src/cyclemod/hybrid.py",
@@ -170,6 +176,13 @@ MUTANTS = [
         "if width > MASK_WIDTH_LIMIT:",
         "if width >= MASK_WIDTH_LIMIT:",
         "mask refusing the capped width itself",
+    ),
+    (
+        "src/cyclemod/cli.py",
+        "from .modring import make_modulus\n",
+        "from .hybrid import entropy_source, mask_xor, token_from_hex\n"
+        "from .modring import make_modulus\n",
+        "cli importing hybrid at its top again, so every verb loads it",
     ),
     (
         "src/cyclemod/hybrid.py",
