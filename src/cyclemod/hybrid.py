@@ -29,10 +29,6 @@ _MIX_STEP = 0xBF58476D1CE4E5B9
 Conditioner = Callable[[bytes], bytes]
 
 
-def _hex_digits(width: int) -> int:
-    return (width + 3) // 4
-
-
 class EntropyToken(Record):
     """A fixed-width bit string from some entropy source."""
 
@@ -48,7 +44,7 @@ class EntropyToken(Record):
         self._bind(bits, width, source_id)
 
     def hex(self) -> str:
-        return format(self.bits, f"0{_hex_digits(self.width)}x")
+        return format(self.bits, f"0{(self.width + 3) // 4}x")
 
     def to_bytes(self) -> bytes:
         return self.bits.to_bytes((self.width + 7) // 8, "big")
@@ -60,16 +56,16 @@ class HybridSeed(Record):
     __slots__ = ("h", "width", "k", "p", "method")
 
     def hex(self) -> str:
-        return format(self.h, f"0{_hex_digits(self.width)}x")
+        return format(self.h, f"0{(self.width + 3) // 4}x")
 
 
-def token_from_hex(text: str, width: int, source_id: str = "hex") -> EntropyToken:
+def token_from_hex(text: str, width: int) -> EntropyToken:
     """Parse a hex string into a token of the given width."""
     try:
         bits = int(text, 16)
     except ValueError:
         raise OutOfRange(f"not a hex string: {text!r}") from None
-    return EntropyToken(bits, width, source_id)
+    return EntropyToken(bits, width, "hex")
 
 
 def identity_conditioner(data: bytes) -> bytes:

@@ -37,7 +37,6 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
         fields = cls.__slots__
         name = "_bind" if "__init__" in cls.__dict__ else "__init__"
         # Each field is set by its own slot's descriptor, with no lookup by name.
@@ -126,7 +125,7 @@ def inverse_euclid_counted(x: int, m: Modulus) -> tuple[int, int]:
 
     The loop is the classical two-register form: it stops when the
     remainder register hits zero, so the step count varies with the
-    operand. The final ``t < 0`` correction restores canonicality.
+    operand. The final t lies in (-M, M), and ``t % M`` makes it canonical.
     """
     t, new_t = 0, 1
     r, new_r = m.M, x
@@ -138,9 +137,7 @@ def inverse_euclid_counted(x: int, m: Modulus) -> tuple[int, int]:
         steps += 1
     if r > 1:
         raise NotInvertible(f"{x} is not invertible mod {m.M}")
-    if t < 0:
-        t += m.M
-    return t, steps
+    return t % m.M, steps
 
 
 def inverse_euclid(a: Residue) -> Residue:

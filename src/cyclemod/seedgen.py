@@ -162,7 +162,7 @@ def decompose_identity(p: int, s: int) -> IdentityWitness:
     v2 = (A & -A).bit_length() - 1
     q = A >> v2
     n, d = divmod(q, 2 * M)
-    return IdentityWitness(p=m.p, s=s, A=A, k=v2 + 1, n=n, d=d)
+    return IdentityWitness(p=m.p, s=int(s), A=A, k=v2 + 1, n=n, d=d)  # a bool s as an int
 
 
 def verify_identity(w: IdentityWitness) -> bool:

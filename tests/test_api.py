@@ -24,6 +24,16 @@ def test_all_names_are_bound_once_and_star_import_works():
     assert set(cyclemod.__all__) <= set(dir(cyclemod))
 
 
+def test_each_lazy_name_is_its_module_object_on_its_first_lookup():
+    code = (
+        "import importlib, json, cyclemod\n"
+        "assert not set(cyclemod.__all__) & vars(cyclemod).keys()\n"
+        "print(json.dumps([n for n in cyclemod.__all__ if getattr(cyclemod, n) is not getattr("
+        "importlib.import_module('cyclemod.' + cyclemod._MODULE_OF[n]), n)]))"
+    )
+    assert json.loads(run_child(["-c", code], check=True).stdout) == []
+
+
 def _loaded_after(code: str) -> list[str]:
     """The ``cyclemod.*`` (``cyclemod.hybrid`` and ``cyclemod.svgplot`` among them),
     ``statistics``, ``dataclasses`` and ``inspect`` modules a fresh interpreter

@@ -116,6 +116,8 @@ def test_hex_serialization_is_lowercase_msb_first():
     token = EntropyToken(bits=0xAB, width=8)
     assert token.hex() == "ab"
     assert token_from_hex("ab", 8) == EntropyToken(bits=0xAB, width=8, source_id="hex")
+    with pytest.raises(TypeError):
+        token_from_hex("ab", 8, "explicit")  # a parsed token's source is always "hex"
 
 
 def test_conditioner_identity_stub_concatenates():

@@ -80,6 +80,9 @@ def test_modulus_is_built_from_p_alone():
     assert type(make_modulus(5.0).p) is int
     assert repr(make_modulus(True)) == "Modulus(p=1, M=3, phi=2)"
     assert type(decompose_identity(3.0, 2).p) is int
+    # Built directly, not through make_modulus's table, which answers 5.0 and True itself.
+    assert Modulus(5.0).bit_width == 8
+    assert repr(Modulus(True)) == repr(Modulus(1))
 
 
 def test_residue_construction_canonicalizes():

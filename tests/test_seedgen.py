@@ -455,6 +455,14 @@ def test_verify_identity_is_false_for_a_non_integer_field(p, s, field):
 
 def test_verify_identity_rejects_wrong_A():
     assert not verify_identity(IdentityWitness(p=2, s=0, A=9, k=4, n=0, d=1))
+    # A = 53 is s = 1's A at p = 3, and k, n, d factor it: only the A check refuses s = 5.
+    assert not verify_identity(IdentityWitness(p=3, s=5, A=53, k=1, n=0, d=53))
+
+
+def test_a_bool_s_gives_a_witness_that_verifies():
+    w = decompose_identity(3, True)
+    assert type(w.s) is int and w == decompose_identity(3, 1)
+    assert verify_identity(w)
 
 
 def test_unreduced_d_bridges_to_canonical_residue():

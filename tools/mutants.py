@@ -137,8 +137,8 @@ MUTANTS = [
     ),
     (
         "src/cyclemod/modring.py",
-        "t += m.M",
-        "t -= m.M",
+        "return t % m.M, steps",
+        "return t % m.M - m.M, steps",
         "Euclid's sign correction subtracting M",
     ),
     (
@@ -231,6 +231,24 @@ MUTANTS = [
         "    for row in rows:\n        a = a * row[n & 15] % M\n",
         "    for row in rows:\n        if not n:\n            break\n        a = a * row[n & 15] % M\n",
         "the power table lookup stopping after n's top digit, which reads k",
+    ),
+    (
+        "src/cyclemod/seedgen.py",
+        "    if w.A != M * (w.s + 1) - 1:\n        return False\n",
+        "",
+        "verify_identity without its check of A against s",
+    ),
+    (
+        "src/cyclemod/modring.py",
+        "        p = int(p)\n",
+        "",
+        "Modulus keeping a float or bool p as given",
+    ),
+    (
+        "src/cyclemod/__init__.py",
+        "    globals()[name] = value\n    return value\n",
+        "    globals()[name] = value\n",
+        "the package's lazy name answering None on its first lookup",
     ),
 ]
 
