@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import statistics
 import time
-from itertools import accumulate
 from typing import Literal
 
 from .errors import OutOfRange
 from .modring import Record, inverse_ct_counted, inverse_euclid_counted
-from .seedgen import compute_a, generate_sequence
+from .seedgen import generate_sequence
 
 WARMUP_PASSES = 3
 MIN_REPS = 30
@@ -56,23 +55,22 @@ class TimingStats(Record):
         return (self.k_end - self.k_start + 1) * self.reps
 
 
-def _counted_pass(variant: str, p: int, k_range: tuple[int, int]) -> tuple:
-    """(kernel, ring, a_k, steps): the int kernel named by ``variant``, the a_k as plain
-    ints (no timed call builds a record), doubled, not walked, and each a_k's step
-    count from one counted pass of the kernel over them."""
+def _counted_pass(variant: str, p: int, k_range: tuple[int, int], reps: int = 1) -> tuple:
+    """(kernel, seq, a_k, steps): the int kernel named by ``variant``, the range's
+    ``SeedSequence`` (its length times ``reps`` capped at ``MAX_SAMPLES``), its rows' a_k as
+    plain ints (no timed call builds a record), and their steps from one counted pass."""
     try:
         counted = _INVERTERS[variant]
     except KeyError:
         raise OutOfRange(f"variant must be one of {sorted(_INVERTERS)}, got {variant!r}")
     seq = generate_sequence(p, *k_range)
-    m, first = seq.modulus, compute_a(seq.k_start, seq.modulus).value
-    operands = list(accumulate(range(len(seq) - 1), lambda a, _: a * 2 % m.M, initial=first))
-    return counted, m, operands, [counted(a, m)[1] for a in operands]
+    if len(seq) * reps > MAX_SAMPLES:
+        raise OutOfRange(f"samples (k range x reps) are capped at {MAX_SAMPLES}")
+    operands = [a for _, a, _ in seq]
+    return counted, seq, operands, [counted(a, seq.modulus)[1] for a in operands]
 
 
-def count_iterations(
-    variant: Variant, p: int, k_range: tuple[int, int]
-) -> tuple[int, int]:
+def count_iterations(variant: Variant, p: int, k_range: tuple[int, int]) -> tuple[int, int]:
     """Exact min/max inner-loop step counts over the operand range."""
     counts = _counted_pass(variant, p, k_range)[3]
     return min(counts), max(counts)
@@ -84,10 +82,9 @@ def time_inversion(
     """Wall-clock statistics of the int kernel over all (k, rep) pairs, warm-up excluded."""
     if not isinstance(reps, int) or reps < MIN_REPS:
         raise OutOfRange(f"reps must be an integer >= {MIN_REPS}, got {reps}")
-    if len(generate_sequence(p, *k_range)) * reps > MAX_SAMPLES:
-        raise OutOfRange(f"timed samples (k range x reps) are capped at {MAX_SAMPLES}")
 
-    counted, m, operands, counts = _counted_pass(variant, p, k_range)  # warm-up pass 1
+    counted, seq, operands, counts = _counted_pass(variant, p, k_range, reps)  # warm-up pass 1
+    m = seq.modulus
     for _ in range(WARMUP_PASSES - 1):
         for a in operands:
             counted(a, m)
@@ -102,7 +99,7 @@ def time_inversion(
 
     mean_ns = statistics.fmean(samples_ns)
     return TimingStats(
-        variant=variant, p=p, k_start=k_range[0], k_end=k_range[1], reps=reps,
+        variant=variant, p=m.p, k_start=seq.k_start, k_end=seq.k_end, reps=reps,
         mean_ns=mean_ns, median_ns=float(statistics.median(samples_ns)),
         max_jitter_ns=float(max(samples_ns) - min(samples_ns)),
         cv=statistics.pstdev(samples_ns) / mean_ns if mean_ns > 0 else 0.0,
@@ -120,9 +117,9 @@ def compare_report(p: int, k_range: tuple[int, int], reps: int) -> dict:
     euclid = time_inversion("euclid", p, k_range, reps)
     ct = time_inversion("ct", p, k_range, reps)
     return {
-        "p": p,
-        "k_start": k_range[0],
-        "k_end": k_range[1],
+        "p": ct.p,
+        "k_start": ct.k_start,
+        "k_end": ct.k_end,
         "reps": reps,
         "rows": [euclid._asdict(), ct._asdict()],
         "ct_iterations_constant": ct.iter_min == ct.iter_max,

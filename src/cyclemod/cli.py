@@ -231,8 +231,8 @@ def cmd_bench(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 
 def __getattr__(name: str):
-    """The hybrid and svgplot names cli bound before mask and plot imported them (PEP 562)."""
-    module = {"render_residue_svg": "svgplot", "entropy_source": "hybrid", "mask_xor": "hybrid",
+    """The names perfbench/tracing.py patches on cli, loaded on first lookup (PEP 562)."""
+    module = {"render_residue_svg": "svgplot", "mask_xor": "hybrid",
               "token_from_hex": "hybrid"}.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

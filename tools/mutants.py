@@ -204,6 +204,12 @@ MUTANTS = [
     ),
     (
         "src/cyclemod/bench.py",
+        "if len(seq) * reps > MAX_SAMPLES:",
+        "if reps > 1 and len(seq) * reps > MAX_SAMPLES:",
+        "count_iterations exempt from the sample cap",
+    ),
+    (
+        "src/cyclemod/bench.py",
         "        counted = _INVERTERS[variant]\n    except KeyError:",
         "        counted = _INVERTERS.get(variant, inverse_ct_counted)\n    except KeyError:",
         "the bench kernel lookup refusing no variant",
